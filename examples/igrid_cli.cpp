@@ -303,7 +303,7 @@ int cmd_chaos(std::uint64_t seed, std::uint64_t drop_percent, std::size_t cases,
               metrics.faults_injected, metrics.request_retries, metrics.dead_letters,
               metrics.containers_recovered);
   if (wire) {
-    // metrics() refreshed the registry, so the shard's wire counters are hot.
+    // Every attempt stack on shard 0 counts into these series.
     const obs::Labels shard0 = {{"shard", "0"}};
     std::printf("wire: %llu frames (%llu bytes), %llu intern hits, %llu decode errors\n",
                 static_cast<unsigned long long>(
@@ -333,7 +333,7 @@ int cmd_metrics(std::size_t cases, std::size_t shards) {
                   "tenant-" + std::to_string(i % 2));
   engine.drain();
 
-  engine.metrics();  // refreshes the registry's engine and per-shard counters
+  engine.metrics();  // refreshes the registry's engine, scheduler and journal counters
   const std::string exposition = obs::to_prometheus(engine.registry().snapshot());
   std::string problem;
   if (!obs::validate_prometheus(exposition, &problem)) {

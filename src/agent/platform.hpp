@@ -13,6 +13,13 @@
 // bitwise. Crashed and hung agents are *not* deregistered: their objects
 // (and any timers they scheduled) stay alive, the transport just refuses to
 // carry their messages.
+//
+// Counters live in an obs::MetricsRegistry: the platform increments its
+// `platform_*` and `chaos_faults_total` instruments directly, and the
+// agents on it bind theirs to the same registry and labels. An engine shard
+// stack passes the engine's registry with {shard="i"}, so every stack the
+// shard builds adds to the same series; a standalone platform counts into a
+// private registry.
 #pragma once
 
 #include <atomic>
@@ -29,6 +36,7 @@
 #include "agent/chaos.hpp"
 #include "agent/message.hpp"
 #include "grid/sim.hpp"
+#include "obs/metrics.hpp"
 
 namespace ig::agent {
 
@@ -56,12 +64,21 @@ using TransportHook =
 
 class AgentPlatform {
  public:
-  explicit AgentPlatform(grid::Simulation& sim) : sim_(sim) {}
+  /// Counts into `registry` under `labels`; a null registry gives the
+  /// platform a private one.
+  explicit AgentPlatform(grid::Simulation& sim, obs::MetricsRegistry* registry = nullptr,
+                         obs::Labels labels = {});
 
   AgentPlatform(const AgentPlatform&) = delete;
   AgentPlatform& operator=(const AgentPlatform&) = delete;
 
   grid::Simulation& sim() noexcept { return sim_; }
+
+  /// The registry this platform and its agents count into, and the labels
+  /// every series they register carries. Internally synchronized, so any
+  /// thread may read it while the simulation runs.
+  obs::MetricsRegistry& registry() const noexcept { return *registry_; }
+  const obs::Labels& metric_labels() const noexcept { return labels_; }
 
   // -- lifecycle --------------------------------------------------------------
   /// Registers an agent; its name must be unique. `on_start` runs
@@ -97,29 +114,20 @@ class AgentPlatform {
   /// Installs (or clears, with nullptr) the transport hook. Runs in send()
   /// after the sender-health check and before any chaos decision.
   void set_transport_hook(TransportHook hook) { transport_hook_ = std::move(hook); }
-  /// Messages the transport hook rejected (decode errors). Atomic, readable
-  /// from a metrics thread.
-  std::size_t transport_rejects() const noexcept {
-    return transport_rejects_.load(std::memory_order_relaxed);
-  }
-
-  /// Atomic, so an engine metrics snapshot may read them from another
-  /// thread while the shard's worker is delivering.
-  std::size_t messages_sent() const noexcept {
-    return messages_sent_.load(std::memory_order_relaxed);
-  }
-  std::size_t messages_delivered() const noexcept {
-    return messages_delivered_.load(std::memory_order_relaxed);
-  }
+  // The counter accessors below read the registry instruments, so they
+  // count every platform that shares this registry and labels.
+  /// Messages the transport hook rejected (decode errors).
+  std::size_t transport_rejects() const noexcept { return transport_rejects_->value(); }
+  std::size_t messages_sent() const noexcept { return messages_sent_->value(); }
+  std::size_t messages_delivered() const noexcept { return messages_delivered_->value(); }
 
   // -- chaos --------------------------------------------------------------------
-  /// Installs (or replaces) the fault-injection policy. Counters reset.
+  /// Installs (or replaces) the fault-injection policy. The fault counters
+  /// keep counting across policies.
   void set_chaos(ChaosPolicy policy);
   void clear_chaos();
   bool chaos_enabled() const noexcept { return chaos_.has_value() && chaos_->enabled(); }
-  /// Consistent snapshot of the injected-fault counters. The live counters
-  /// are atomic, so an engine metrics pass may call this from another thread
-  /// while the shard's worker is running.
+  /// Snapshot of the injected-fault counters.
   ChaosStats chaos_stats() const;
 
   /// Marks an agent crashed: deliveries to it bounce like an unknown agent,
@@ -143,10 +151,9 @@ class AgentPlatform {
   const std::map<std::string, std::size_t>& handler_failures_by_agent() const noexcept {
     return handler_failures_;
   }
-  /// Total caught handler exceptions. Atomic so an engine metrics snapshot
-  /// may read it from another thread while the shard is running.
+  /// Total caught handler exceptions.
   std::size_t handler_failures_total() const noexcept {
-    return handler_failures_total_.load(std::memory_order_relaxed);
+    return handler_failures_total_->value();
   }
 
   // -- tracing ------------------------------------------------------------------
@@ -158,24 +165,15 @@ class AgentPlatform {
   /// which the Figure 2/3 harnesses rely on; long-running shards set a cap
   /// so a traced platform cannot grow without bound.
   void set_trace_limit(std::size_t limit);
-  /// The limit and drop counters are atomic: the trace ring itself is only
-  /// mutated on the owning sim thread, but these two are read by engine
-  /// metrics snapshots from other threads (see engine_test's TSan case).
+  /// The limit is atomic: the trace ring itself is only mutated on the
+  /// owning sim thread, but other threads may read the limit.
   std::size_t trace_limit() const noexcept {
     return trace_limit_.load(std::memory_order_relaxed);
   }
   /// Records discarded so far due to the cap.
-  std::size_t trace_dropped() const noexcept {
-    return trace_dropped_.load(std::memory_order_relaxed);
-  }
+  std::size_t trace_dropped() const noexcept { return trace_dropped_->value(); }
   /// Multi-line "t=0.001 REQUEST cs -> ps [planning-request]" rendering.
   std::string trace_to_string() const;
-
-  // -- metrics ------------------------------------------------------------------
-  /// Pushes the platform's counters (messages, handler failures, trace
-  /// drops, chaos faults) into `registry` under `labels`. Reads only atomic
-  /// state, so it is safe from a metrics thread while the sim runs.
-  void publish_metrics(obs::MetricsRegistry& registry, const obs::Labels& labels = {}) const;
 
  private:
   void deliver(AclMessage message, grid::SimTime sent_at);
@@ -188,29 +186,37 @@ class AgentPlatform {
   void apply_agent_faults(const std::string& receiver);
 
   grid::Simulation& sim_;
+  std::unique_ptr<obs::MetricsRegistry> own_registry_;  ///< standalone platforms only
+  obs::MetricsRegistry* registry_;
+  obs::Labels labels_;
   std::vector<std::unique_ptr<Agent>> agents_;
   std::function<grid::SimTime(const std::string&, const std::string&)> latency_fn_;
   TransportHook transport_hook_;
-  std::atomic<std::size_t> transport_rejects_{0};
+  /// This platform's send count: keys the chaos draws, so it must not be
+  /// shared with other platforms the way the registry counters are.
+  std::uint64_t send_sequence_ = 0;
   bool tracing_ = false;
   std::deque<TraceRecord> trace_;
   std::atomic<std::size_t> trace_limit_{0};  ///< 0 = unlimited
-  std::atomic<std::size_t> trace_dropped_{0};
-  std::atomic<std::size_t> messages_sent_{0};
-  std::atomic<std::size_t> messages_delivered_{0};
   std::map<std::string, std::size_t> handler_failures_;
-  std::atomic<std::size_t> handler_failures_total_{0};
 
   std::optional<ChaosPolicy> chaos_;
   std::map<std::string, AgentHealth> health_;
   std::map<std::string, std::size_t> deliveries_by_agent_;
-  std::atomic<std::size_t> chaos_dropped_{0};
-  std::atomic<std::size_t> chaos_delayed_{0};
-  std::atomic<std::size_t> chaos_duplicated_{0};
-  std::atomic<std::size_t> chaos_reordered_{0};
-  std::atomic<std::size_t> chaos_crashed_{0};
-  std::atomic<std::size_t> chaos_hung_{0};
-  std::atomic<std::size_t> chaos_swallowed_{0};
+
+  // Registry instruments (owned by *registry_).
+  obs::Counter* messages_sent_;
+  obs::Counter* messages_delivered_;
+  obs::Counter* handler_failures_total_;
+  obs::Counter* trace_dropped_;
+  obs::Counter* transport_rejects_;
+  obs::Counter* chaos_dropped_;
+  obs::Counter* chaos_delayed_;
+  obs::Counter* chaos_duplicated_;
+  obs::Counter* chaos_reordered_;
+  obs::Counter* chaos_crashed_;
+  obs::Counter* chaos_hung_;
+  obs::Counter* chaos_swallowed_;
 };
 
 }  // namespace ig::agent

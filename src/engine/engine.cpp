@@ -6,7 +6,6 @@
 #include "services/protocol.hpp"
 #include "store/codec.hpp"
 #include "util/log.hpp"
-#include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 #include "wfl/xml_io.hpp"
 
@@ -121,22 +120,23 @@ struct EnactmentEngine::AttemptResult {
   std::string checkpoint_xml;  ///< snapshot captured after a failure
 };
 
-/// One shard: a private environment, its proxy agent, and the state machine
-/// that a chain of pump jobs advances one simulation slice at a time. The
-/// attempt state is touched only by the shard's single in-flight pump job
-/// (the job chain serializes through the job system's deques), so it needs
-/// no lock even though successive slices may run on different workers.
-/// Stats and `pump_scheduled` are guarded by the engine mutex.
+/// One shard: the stack of its current (or last) attempt, its proxy agent,
+/// and the state machine that a chain of pump jobs advances one simulation
+/// slice at a time. The attempt state is touched only by the shard's single
+/// in-flight pump job (the job chain serializes through the job system's
+/// deques), so it needs no lock even though successive slices may run on
+/// different workers. `environment` is swapped, and stats and
+/// `pump_scheduled` are guarded, under the engine mutex.
 struct EnactmentEngine::Shard {
   std::size_t index = 0;
-  std::unique_ptr<svc::Environment> environment;
+  std::unique_ptr<svc::Environment> environment;  ///< null until the first attempt
   EngineClient* client = nullptr;
 
   // -- attempt state machine, owned by the in-flight pump job --
-  /// Idle: no case. Drain: flushing calendar leftovers of an abandoned
-  /// case. Enact: slicing the simulation until the completion reply.
-  /// Checkpoint: snapshotting a failed enactment for a cross-shard retry.
-  enum class Phase { Idle, Drain, Enact, Checkpoint };
+  /// Idle: no case. Enact: slicing the simulation until the completion
+  /// reply. Checkpoint: snapshotting a failed enactment for a cross-shard
+  /// retry.
+  enum class Phase { Idle, Enact, Checkpoint };
   Phase phase = Phase::Idle;
   CaseRecord snapshot;        ///< inputs of the current attempt
   std::string conversation;   ///< engine/<case>/<retry>
@@ -149,16 +149,6 @@ struct EnactmentEngine::Shard {
   std::size_t cases_completed = 0;
   std::size_t cases_failed = 0;
   double busy_seconds = 0.0;
-  // Counters folded in from retired environments: durable mode rebuilds
-  // the stack per attempt, and each rebuild would otherwise zero the
-  // platform/tracker counters metrics() reads. metrics() reports
-  // accumulator + live environment.
-  std::size_t acc_handler_failures = 0;
-  std::size_t acc_faults_injected = 0;
-  std::size_t acc_request_retries = 0;
-  std::size_t acc_dead_letters = 0;
-  std::size_t acc_containers_recovered = 0;
-  std::size_t acc_trace_dropped = 0;
 };
 
 EnactmentEngine::EnactmentEngine(EngineConfig config) : config_(std::move(config)) {
@@ -181,24 +171,11 @@ EnactmentEngine::EnactmentEngine(EngineConfig config) : config_(std::move(config
     recover_from_journal();
   }
 
-  // Build every shard stack on the caller's thread (deterministic seeds,
-  // no construction races), then start the workers.
+  // A shard gets its first stack when it starts its first attempt.
   shards_.reserve(config_.shards);
   for (std::size_t i = 0; i < config_.shards; ++i) {
-    auto shard = std::make_unique<Shard>();
-    shard->index = i;
-    const double floor =
-        i < config_.shard_failure_floor.size() ? config_.shard_failure_floor[i] : 0.0;
-    svc::EnvironmentOptions options = config_.environment;
-    if (options.chaos.enabled()) {
-      // Same chaos rules on every shard, decorrelated fault streams: each
-      // shard's draw sequence comes from (template chaos seed, shard index).
-      options.chaos.seed = util::derive_stream(options.chaos.seed, 0xC4A05ULL, i);
-    }
-    shard->environment = svc::make_shard_stack(options, config_.seed, i, floor);
-    shard->client = &shard->environment->platform().spawn<EngineClient>("engine-client");
-    if (config_.shard_setup) config_.shard_setup(*shard->environment, i);
-    shards_.push_back(std::move(shard));
+    shards_.push_back(std::make_unique<Shard>());
+    shards_.back()->index = i;
   }
   // One shared work-stealing pool under every shard's pump stream. The
   // default (workers = shards) keeps the old thread-per-shard concurrency;
@@ -464,8 +441,22 @@ void EnactmentEngine::drain() {
   case_terminal_.wait(lock, [&] { return stopping_ || (queued_ == 0 && running_ == 0); });
 }
 
+namespace {
+
+/// The shard index a registry series is labelled with, or nullopt.
+std::optional<std::size_t> shard_label(const obs::Labels& labels) {
+  for (const auto& [key, value] : labels)
+    if (key == "shard") return static_cast<std::size_t>(std::stoull(value));
+  return std::nullopt;
+}
+
+}  // namespace
+
 EngineMetrics EnactmentEngine::metrics() const {
   std::lock_guard<std::mutex> lock(mutex_);
+  // One registry snapshot feeds the latency percentiles and every per-shard
+  // stack counter: the stacks count into {shard="i"} instruments directly.
+  const obs::RegistrySnapshot registry = registry_.snapshot();
   EngineMetrics snapshot;
   snapshot.submitted = submitted_total_;
   snapshot.rejected = rejected_total_;
@@ -483,9 +474,9 @@ EngineMetrics EnactmentEngine::metrics() const {
   snapshot.jobs_stolen = job_stats.stolen;
   snapshot.steal_attempts = job_stats.steal_attempts;
   snapshot.steal_rate = job_stats.steal_rate();
-  const obs::HistogramSnapshot hist = latency_hist_->snapshot();
-  if (hist.count > 0) {
-    const std::vector<double> qs = hist.quantiles({50.0, 90.0, 99.0});
+  const obs::MetricPoint* latency = registry.find("engine_case_latency_seconds");
+  if (latency != nullptr && latency->histogram.count > 0) {
+    const std::vector<double> qs = latency->histogram.quantiles({50.0, 90.0, 99.0});
     snapshot.latency_p50 = qs[0];
     snapshot.latency_p90 = qs[1];
     snapshot.latency_p99 = qs[2];
@@ -495,42 +486,32 @@ EngineMetrics EnactmentEngine::metrics() const {
   if (snapshot.uptime_seconds > 0.0)
     snapshot.completed_per_second =
         static_cast<double>(completed_total_) / snapshot.uptime_seconds;
-  snapshot.shards.reserve(shards_.size());
+  snapshot.shards.resize(shards_.size());
+  for (const obs::MetricPoint& point : registry.points) {
+    const std::optional<std::size_t> index = shard_label(point.labels);
+    if (!index.has_value() || *index >= shards_.size()) continue;
+    ShardMetrics& sm = snapshot.shards[*index];
+    const auto value = static_cast<std::size_t>(point.value);
+    if (point.name == "platform_handler_failures_total") sm.handler_failures += value;
+    else if (point.name == "chaos_faults_total") sm.faults_injected += value;
+    else if (point.name == "tracker_retries_total") sm.request_retries += value;
+    else if (point.name == "tracker_dead_letters_total") sm.dead_letters += value;
+    else if (point.name == "monitor_containers_recovered_total") sm.containers_recovered += value;
+    else if (point.name == "platform_trace_dropped_total") sm.trace_dropped += value;
+  }
   for (const auto& shard : shards_) {
-    ShardMetrics sm;
+    ShardMetrics& sm = snapshot.shards[shard->index];
     sm.cases_run = shard->cases_run;
     sm.cases_completed = shard->cases_completed;
     sm.cases_failed = shard->cases_failed;
-    // These counters are all atomic on their owners (platform, request
-    // trackers, monitoring), so reading them here while the shard's worker
-    // is mid-enactment is safe.
-    svc::Environment& environment = *shard->environment;
-    sm.handler_failures =
-        shard->acc_handler_failures + environment.platform().handler_failures_total();
-    sm.faults_injected =
-        shard->acc_faults_injected + environment.platform().chaos_stats().total_injected();
-    sm.request_retries = shard->acc_request_retries +
-                         environment.coordination().tracker().retries_total() +
-                         environment.planning().tracker().retries_total();
-    sm.dead_letters = shard->acc_dead_letters +
-                      environment.coordination().tracker().dead_letters_total() +
-                      environment.planning().tracker().dead_letters_total();
-    sm.containers_recovered =
-        shard->acc_containers_recovered + environment.monitoring().containers_recovered();
-    sm.trace_dropped = shard->acc_trace_dropped + environment.platform().trace_dropped();
+    sm.busy_seconds = shard->busy_seconds;
+    sm.utilization =
+        snapshot.uptime_seconds > 0.0 ? shard->busy_seconds / snapshot.uptime_seconds : 0.0;
     snapshot.handler_failures += sm.handler_failures;
     snapshot.faults_injected += sm.faults_injected;
     snapshot.request_retries += sm.request_retries;
     snapshot.dead_letters += sm.dead_letters;
     snapshot.containers_recovered += sm.containers_recovered;
-    sm.busy_seconds = shard->busy_seconds;
-    sm.utilization =
-        snapshot.uptime_seconds > 0.0 ? shard->busy_seconds / snapshot.uptime_seconds : 0.0;
-    // The registry view of the same shard, labelled so a scrape can tell
-    // shards apart while the EngineMetrics struct keeps its vector form.
-    environment.publish_metrics(registry_,
-                                {{"shard", std::to_string(shard->index)}});
-    snapshot.shards.push_back(sm);
   }
   registry_.counter("engine_cases_submitted_total").set_to(snapshot.submitted);
   registry_.counter("engine_cases_rejected_total").set_to(snapshot.rejected);
@@ -552,7 +533,7 @@ EngineMetrics EnactmentEngine::metrics() const {
 
 std::vector<obs::Span> EnactmentEngine::shard_spans(std::size_t shard_index) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (shard_index >= shards_.size()) return {};
+  if (shard_index >= shards_.size() || shards_[shard_index]->environment == nullptr) return {};
   return shards_[shard_index]->environment->tracer().spans();
 }
 
@@ -576,7 +557,7 @@ bool EnactmentEngine::step(Shard& shard) {
     if (stopping_) {
       if (shard.phase != Shard::Phase::Idle) {
         // Abandon the in-flight attempt (a Checkpoint phase is already a
-        // failed attempt; Drain/Enact become failures now). No Terminal is
+        // failed attempt; Enact becomes a failure now). No Terminal is
         // journaled: a durable engine's cold start must resume the case.
         auto it = records_.find(shard.snapshot.id);
         if (it != records_.end()) {
@@ -591,9 +572,6 @@ bool EnactmentEngine::step(Shard& shard) {
       return false;
     }
   }
-
-  svc::Environment& environment = *shard.environment;
-  grid::Simulation& sim = environment.sim();
 
   switch (shard.phase) {
     case Shard::Phase::Idle: {
@@ -615,25 +593,14 @@ bool EnactmentEngine::step(Shard& shard) {
         shard.snapshot = record;  // inputs the attempt needs, copied out of the lock
         shard.conversation = "engine/" + std::to_string(record.id) + "/" +
                              std::to_string(record.retries_used);
-        shard.slices = 0;
         shard.attempt = AttemptResult{};
-        shard.phase = Shard::Phase::Drain;
       }
-      // Durable mode: the attempt runs on a stack derived purely from
-      // (case id, retries) — rebuilt fresh, outside the engine mutex, so
-      // a crash-resumed attempt re-executes bit-identically no matter
-      // which shard hosts it or what ran on the shard before.
-      if (journal_) refresh_shard_environment(shard);
-      return true;
-    }
-
-    case Shard::Phase::Drain: {
-      // Flush anything a previous (possibly abandoned) case left on the
-      // calendar before the fresh attempt starts.
-      if (sim.run(config_.events_per_slice) == 0 ||
-          ++shard.slices >= config_.max_slices_per_case) {
-        begin_enact(shard);
-      }
+      // The attempt runs on a stack derived purely from (case id, retries),
+      // built fresh outside the engine mutex, so it does the same work no
+      // matter which shard hosts it, what ran there before, or whether a
+      // crash interrupted an earlier run of it.
+      refresh_shard_environment(shard);
+      begin_enact(shard);
       return true;
     }
 
@@ -642,7 +609,7 @@ bool EnactmentEngine::step(Shard& shard) {
         shard.attempt.kind = AttemptResult::Kind::Cancelled;
         return complete_attempt(shard);
       }
-      const std::size_t executed = sim.run(config_.events_per_slice);
+      const std::size_t executed = shard.environment->run(config_.events_per_slice);
       std::optional<AclMessage> reply = shard.client->take(shard.conversation);
       if (!reply.has_value()) {
         if (executed == 0 || ++shard.slices >= config_.max_slices_per_case) {
@@ -681,7 +648,7 @@ bool EnactmentEngine::step(Shard& shard) {
     }
 
     case Shard::Phase::Checkpoint: {
-      const std::size_t executed = sim.run(config_.events_per_slice);
+      const std::size_t executed = shard.environment->run(config_.events_per_slice);
       auto snapshot_reply = shard.client->take(shard.conversation + "/checkpoint");
       if (snapshot_reply.has_value()) {
         if (snapshot_reply->performative == Performative::Inform)
@@ -697,10 +664,6 @@ bool EnactmentEngine::step(Shard& shard) {
 }
 
 void EnactmentEngine::begin_enact(Shard& shard) {
-  svc::Environment& environment = *shard.environment;
-  // Drain done: give this case a fresh kernel state.
-  environment.kernels().reset();
-
   AclMessage request;
   request.performative = Performative::Request;
   request.receiver = svc::names::kCoordination;
@@ -1050,42 +1013,24 @@ bool EnactmentEngine::decode_engine_state(std::string_view blob) {
 }
 
 void EnactmentEngine::refresh_shard_environment(Shard& shard) {
-  const double floor = shard.index < config_.shard_failure_floor.size()
-                           ? config_.shard_failure_floor[shard.index]
-                           : 0.0;
-  svc::EnvironmentOptions options = config_.environment;
-  const std::uint64_t retries = static_cast<std::uint64_t>(shard.snapshot.retries_used);
-  if (options.chaos.enabled()) {
-    options.chaos.seed =
-        util::derive_stream(options.chaos.seed, 0xC4A05ULL, shard.snapshot.id, retries);
-  }
-  // Shard index pinned to 0 in the seed derivation: the attempt's random
-  // streams must depend only on (engine seed, case id, retries), or a
-  // restarted engine — whose shard assignment can differ — would diverge.
-  auto fresh = svc::make_shard_stack(
-      options, util::derive_stream(config_.seed, shard.snapshot.id, retries), 0, floor);
-  EngineClient* client = &fresh->platform().spawn<EngineClient>("engine-client");
-  if (config_.shard_setup) config_.shard_setup(*fresh, shard.index);
+  // Retire the previous attempt's stack first, so a shard never holds two.
+  // Only the pointer moves take the engine mutex (shard_spans() reads
+  // shard.environment under it); teardown and build run off it.
   std::unique_ptr<svc::Environment> retiring;
   {
-    // Swap under the engine mutex — metrics() and shard_spans() read
-    // shard.environment under the same mutex — folding the retiring
-    // stack's counters into the shard accumulators first.
     std::lock_guard<std::mutex> lock(mutex_);
-    svc::Environment& old_env = *shard.environment;
-    shard.acc_handler_failures += old_env.platform().handler_failures_total();
-    shard.acc_faults_injected += old_env.platform().chaos_stats().total_injected();
-    shard.acc_request_retries += old_env.coordination().tracker().retries_total() +
-                                 old_env.planning().tracker().retries_total();
-    shard.acc_dead_letters += old_env.coordination().tracker().dead_letters_total() +
-                              old_env.planning().tracker().dead_letters_total();
-    shard.acc_containers_recovered += old_env.monitoring().containers_recovered();
-    shard.acc_trace_dropped += old_env.platform().trace_dropped();
     retiring = std::move(shard.environment);
-    shard.environment = std::move(fresh);
-    shard.client = client;
   }
-  // `retiring` dies here, off the engine mutex (platform teardown is not cheap).
+  retiring.reset();
+  auto fresh = svc::make_shard_stack(config_.environment, config_.seed, shard.snapshot.id,
+                                     static_cast<std::uint64_t>(shard.snapshot.retries_used),
+                                     registry_, {{"shard", std::to_string(shard.index)}});
+  if (shard.index < config_.shard_failure_floor.size())
+    fresh->injector().set_failure_floor(config_.shard_failure_floor[shard.index]);
+  shard.client = &fresh->platform().spawn<EngineClient>("engine-client");
+  if (config_.shard_setup) config_.shard_setup(*fresh, shard.index);
+  std::lock_guard<std::mutex> lock(mutex_);
+  shard.environment = std::move(fresh);
 }
 
 }  // namespace ig::engine

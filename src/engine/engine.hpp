@@ -2,14 +2,19 @@
 //
 // The coordination service enacts one case at a time on one agent platform;
 // the engine turns that single-case machine into a throughput machine. It
-// owns N *shards*, each a private `svc::Environment` (simulation + agent
-// platform + the full Figure 1 service stack). Shards no longer own
-// threads: each shard is an affinity-pinned *job stream* on the shared
-// work-stealing `sched::JobSystem` — a chain of pump jobs where each job
-// advances the shard's enactment by one slice of simulation events and
-// reposts itself. At most one pump job per shard is ever in flight, so the
-// virtual-clock substrate stays single-threaded per shard and none of the
-// existing services need locks; but because the slices are ordinary jobs,
+// owns N *shards*. Every enactment attempt runs on a fresh private
+// `svc::Environment` (simulation + agent platform + the full Figure 1
+// service stack) that `svc::make_shard_stack` builds from (engine seed,
+// case id, retries) alone, so a case's outcome does not depend on which
+// shard runs it or what ran there before. The stack counts into the
+// engine's registry under {shard="i"}, so the shard's counters add up
+// across attempts. Shards do not own threads: each shard is an
+// affinity-pinned *job stream* on the shared work-stealing
+// `sched::JobSystem` — a chain of pump jobs where each job advances the
+// shard's enactment by one slice of simulation events and reposts itself.
+// At most one pump job per shard is ever in flight, so the virtual-clock
+// substrate stays single-threaded per shard and none of the existing
+// services need locks; but because the slices are ordinary jobs,
 // an idle shard's worker steals another shard's case steps instead of
 // sleeping next to a backlog. Cases flow through a bounded admission queue
 // with round-robin per-tenant fairness; a full queue rejects new
@@ -25,8 +30,9 @@
 // replay from the checkpoint instead of re-executing.
 //
 // Per-shard fault injection (`EngineConfig::shard_failure_floor`) arms the
-// shard's `grid::FailureInjector` floor, which is how the bench and tests
-// demonstrate that a fleet with one bad shard still completes every case.
+// `grid::FailureInjector` floor of every stack the shard builds, which is
+// how the bench and tests demonstrate that a fleet with one bad shard
+// still completes every case.
 #pragma once
 
 #include <chrono>
@@ -78,13 +84,13 @@ struct EngineConfig {
   std::size_t workers = 0;
   std::size_t queue_capacity = 64; ///< admission bound across all tenants
   int max_case_retries = 1;        ///< checkpoint/restore re-admissions per case
-  std::uint64_t seed = 42;         ///< root of every shard's derived seed
-  /// Template for each shard's stack (topology, catalogue, coordination
-  /// tunables). The per-shard seed is derived; monitoring is disabled.
-  /// `environment.chaos` is also a template: when enabled, every shard gets
-  /// the same rules but a chaos seed derived from (template seed, shard
-  /// index), so shards inject decorrelated fault streams while the whole
-  /// fleet stays reproducible. With shards = 1 the run is bit-reproducible.
+  std::uint64_t seed = 42;         ///< root of every attempt's derived seed
+  /// Template for each attempt's stack (topology, catalogue, coordination
+  /// tunables). The stack seed is derived from (seed, case id, retries);
+  /// periodic monitoring is disabled. `environment.chaos` is also a
+  /// template: when enabled, every attempt gets the same rules but a chaos
+  /// seed derived from (template seed, case id, retries). Per-case outcomes
+  /// are therefore bit-reproducible at any shard and worker count.
   svc::EnvironmentOptions environment;
   /// Per-shard dispatch-failure floor (index i applies to shard i; missing
   /// entries mean 0 = healthy). See grid::FailureInjector::set_failure_floor.
@@ -93,20 +99,19 @@ struct EngineConfig {
   std::size_t events_per_slice = 2048;
   /// Runaway guard: a single attempt aborts after this many slices.
   std::size_t max_slices_per_case = 1 << 14;
-  /// Optional hook run once per shard after its stack is built and before
-  /// its worker starts (shard index is the second argument). Tests use it to
-  /// inject faulty agents into a specific shard's platform. In durable mode
-  /// the hook also re-runs for every per-attempt stack rebuild.
+  /// Optional hook run once per attempt, after the attempt's stack is built
+  /// and before the case is sent to it (the hosting shard's index is the
+  /// second argument). Tests use it to inject faulty agents into a specific
+  /// shard's platform.
   std::function<void(svc::Environment&, std::size_t)> shard_setup;
   /// Durable journal options. `storage.data_dir` empty (the default) keeps
-  /// the engine fully in-memory — the historical behavior, with warm shard
-  /// stacks reused across cases. Non-empty arms durable mode: every case
+  /// the engine fully in-memory. Non-empty arms durable mode: every case
   /// lifecycle transition (admit, retry, cancel, terminal) is WAL-journaled
-  /// under the directory, a cold start replays the journal and re-admits
-  /// every case that was Queued or Running, and each attempt runs on a
-  /// freshly built shard stack seeded from (engine seed, case id, retries)
-  /// — independent of which shard hosts it — so an attempt interrupted by
-  /// a crash re-executes bit-identically after the restart.
+  /// under the directory, and a cold start replays the journal and
+  /// re-admits every case that was Queued or Running. Because each attempt
+  /// runs on a stack derived from (engine seed, case id, retries), an
+  /// attempt interrupted by a crash re-executes bit-identically after the
+  /// restart.
   store::Options storage;
 };
 
@@ -231,17 +236,20 @@ class EnactmentEngine {
   EngineMetrics metrics() const;
 
   /// The engine's metrics registry. Case latencies land in the
-  /// `engine_case_latency_seconds` histogram as cases finish; every call to
-  /// metrics() also refreshes the engine- and per-shard counters (labelled
-  /// {shard=i}), so `registry().snapshot()` after metrics() is the complete
-  /// exporter feed. EngineMetrics' latency percentiles are derived from the
-  /// same histogram, so both views agree on the same run.
+  /// `engine_case_latency_seconds` histogram as cases finish, and every
+  /// attempt stack counts into its shard's {shard=i} series (platform_*,
+  /// chaos_faults_total, tracker_*, monitor_*, tracer_spans_dropped_total,
+  /// wire_*) as it runs. metrics() fills its per-shard fields from one
+  /// snapshot of this registry and refreshes the engine, scheduler and
+  /// journal counters, so `registry().snapshot()` after metrics() is the
+  /// complete exporter feed.
   obs::MetricsRegistry& registry() noexcept { return registry_; }
   const obs::MetricsRegistry& registry() const noexcept { return registry_; }
 
-  /// Retained enactment spans of one shard (empty when the shard template
-  /// did not enable span_tracing, or the index is out of range). Snapshot;
-  /// safe while the shard runs.
+  /// Retained enactment spans of one shard's current or last attempt (empty
+  /// when the template did not enable span_tracing, the shard has not run
+  /// an attempt yet, or the index is out of range). Snapshot; safe while
+  /// the shard runs.
   std::vector<obs::Span> shard_spans(std::size_t shard_index) const;
 
  private:
@@ -304,7 +312,7 @@ class EnactmentEngine {
   std::string encode_engine_state() const;
   bool decode_engine_state(std::string_view blob);
   /// Replaces `shard`'s environment with a stack built solely from the
-  /// pending attempt's (case id, retries) — the durable-mode determinism
+  /// pending attempt's (case id, retries) — the placement-independence
   /// contract. Builds outside the engine mutex, swaps under it.
   void refresh_shard_environment(Shard& shard);
 

@@ -32,6 +32,11 @@ std::size_t SpanTracer::dropped() const {
   return dropped_;
 }
 
+void SpanTracer::count_drops_into(Counter* counter) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  drop_counter_ = counter;
+}
+
 SpanId SpanTracer::begin(SpanKind kind, std::string name, std::string case_id, SpanId parent,
                          double at) {
   if (!enabled()) return 0;
@@ -108,6 +113,7 @@ void SpanTracer::trim_locked() {
     if (it->second.closed) {
       it = spans_.erase(it);
       ++dropped_;
+      if (drop_counter_ != nullptr) drop_counter_->inc();
     } else {
       ++it;
     }

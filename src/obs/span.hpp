@@ -27,7 +27,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"  // Labels
+#include "obs/metrics.hpp"  // Labels, Counter
 
 namespace ig::obs {
 
@@ -77,7 +77,10 @@ class SpanTracer {
   /// Retained-span cap: once exceeded, the oldest *closed* spans are
   /// dropped (open spans survive so their end() still lands). 0 keeps all.
   void set_limit(std::size_t limit);
-  std::size_t dropped() const;
+  std::size_t dropped() const;  ///< since construction or the last clear()
+  /// Also counts every drop into `counter` (an environment passes its
+  /// registry's tracer_spans_dropped_total), which clear() leaves alone.
+  void count_drops_into(Counter* counter);
 
   /// Opens a span; returns 0 when disabled.
   SpanId begin(SpanKind kind, std::string name, std::string case_id, SpanId parent,
@@ -106,6 +109,7 @@ class SpanTracer {
   SpanId next_ = 1;
   std::size_t limit_ = 0;
   std::size_t dropped_ = 0;
+  Counter* drop_counter_ = nullptr;
 };
 
 }  // namespace ig::obs

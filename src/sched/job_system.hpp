@@ -2,7 +2,7 @@
 // enactment engine.
 //
 // The repo used to have two disjoint parallelism islands: the GP planner's
-// `util::ThreadPool` (a single shared queue whose per-index `parallel_for`
+// fixed thread pool (a single shared queue whose per-index `parallel_for`
 // cursor serialized cheap items) and the engine's shard-owns-thread model
 // (which could not rebalance when one shard's cases were heavier than
 // another's). The job system replaces both:
@@ -34,9 +34,8 @@
 //
 // Observability: every worker keeps relaxed-atomic counters (executed,
 // stolen, steal probes, parks); `stats()` aggregates them and
-// `publish_metrics` pushes the absolute values into an obs::MetricsRegistry
-// (the same publish pattern the platform and request trackers use), plus
-// per-worker queue-depth gauges.
+// `publish_metrics` pushes the absolute values into an obs::MetricsRegistry,
+// plus per-worker queue-depth gauges.
 #pragma once
 
 #include <atomic>

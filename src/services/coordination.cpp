@@ -15,6 +15,9 @@ using wfl::ActivityKind;
 
 void CoordinationService::on_start() {
   register_with_information_service(*this, platform(), "coordination");
+  obs::Labels labels = platform().metric_labels();
+  labels.emplace_back("owner", "coordination");
+  tracker_.count_into(platform().registry(), labels);
   tracker_.bind(
       sim(), [this](AclMessage message) { send(std::move(message)); },
       [this](const DeadLetter& letter) { on_dead_letter(letter); });

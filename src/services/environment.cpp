@@ -8,9 +8,10 @@
 
 namespace ig::svc {
 
-Environment::Environment(const EnvironmentOptions& options)
+Environment::Environment(const EnvironmentOptions& options, obs::MetricsRegistry* registry,
+                         obs::Labels labels)
     : injector_(util::Rng(options.seed)),
-      platform_(sim_),
+      platform_(sim_, registry, std::move(labels)),
       catalogue_(options.catalogue.empty() ? virolab::make_catalogue() : options.catalogue),
       kernels_(options.kernels) {
   // -- grid topology -----------------------------------------------------------
@@ -25,11 +26,14 @@ Environment::Environment(const EnvironmentOptions& options)
     // Installed before the bootstrap flush so even the service registration
     // traffic crosses the codec: the intern tables warm up on the names and
     // protocols the run will keep using.
-    wire_link_ = std::make_unique<wire::WireLink>();
+    wire_link_ = std::make_unique<wire::WireLink>(&platform_.registry(),
+                                                  platform_.metric_labels());
     platform_.set_transport_hook(wire::make_transport_hook(*wire_link_));
   }
   tracer_.set_enabled(options.span_tracing);
   tracer_.set_limit(options.span_limit);
+  tracer_.count_drops_into(
+      &platform_.registry().counter("tracer_spans_dropped_total", platform_.metric_labels()));
 
   // -- core services (information service first so registrations succeed) -------
   information_ = &platform_.spawn<InformationService>(names::kInformation);
@@ -76,38 +80,26 @@ Environment::Environment(const EnvironmentOptions& options)
   if (options.chaos.enabled()) platform_.set_chaos(options.chaos);
 }
 
-void Environment::publish_metrics(obs::MetricsRegistry& registry,
-                                  const obs::Labels& labels) const {
-  platform_.publish_metrics(registry, labels);
-  obs::Labels coordination_labels = labels;
-  coordination_labels.emplace_back("owner", "coordination");
-  coordination_->tracker().publish(registry, coordination_labels);
-  obs::Labels planning_labels = labels;
-  planning_labels.emplace_back("owner", "planning");
-  planning_->tracker().publish(registry, planning_labels);
-  monitoring_->publish(registry, labels);
-  registry.counter("tracer_spans_dropped_total", labels).set_to(tracer_.dropped());
-  if (wire_link_ != nullptr) wire_link_->publish_metrics(registry, labels);
-}
-
 std::unique_ptr<Environment> make_environment(EnvironmentOptions options) {
   return std::make_unique<Environment>(options);
 }
 
 std::unique_ptr<Environment> make_shard_stack(EnvironmentOptions base,
                                               std::uint64_t engine_seed,
-                                              std::size_t shard_index,
-                                              double failure_floor) {
-  base.seed = util::derive_stream(engine_seed, 0x5AD0ULL, shard_index);
-  base.monitor_period = 0.0;  // the engine slices the calendar and drains it
+                                              std::uint64_t case_id, std::uint64_t retries,
+                                              obs::MetricsRegistry& registry,
+                                              obs::Labels labels) {
+  base.seed = util::derive_stream(util::derive_stream(engine_seed, case_id, retries), 0x5AD0ULL);
+  // Same chaos rules on every attempt, decorrelated fault streams.
+  if (base.chaos.enabled())
+    base.chaos.seed = util::derive_stream(base.chaos.seed, 0xC4A05ULL, case_id, retries);
+  base.monitor_period = 0.0;  // the engine slices the calendar until the reply
   // Shard-level parallelism replaces planner-level parallelism: with N
   // shards each running its own GP episodes, letting every episode also
   // fan out to hardware_concurrency workers oversubscribes the machine.
   // An explicit thread count in the base options still wins.
   if (base.gp.threads == 0) base.gp.threads = 1;
-  auto environment = std::make_unique<Environment>(base);
-  if (failure_floor > 0.0) environment->injector().set_failure_floor(failure_floor);
-  return environment;
+  return std::make_unique<Environment>(base, &registry, std::move(labels));
 }
 
 }  // namespace ig::svc

@@ -56,9 +56,9 @@ struct EnvironmentOptions {
   /// Routes every platform send through the binary wire codec (frame,
   /// CRC, intern, zero-copy decode, materialize) over a loopback byte
   /// stream before the chaos layer sees it. Chaos faults then hit frames
-  /// that really crossed the codec; wire_* counters appear in
-  /// publish_metrics. Deterministic: the round trip is bitwise, so chaos
-  /// replays stay seed-stable with the hook on or off.
+  /// that really crossed the codec; wire_* counters appear in the
+  /// environment's registry. Deterministic: the round trip is bitwise, so
+  /// chaos replays stay seed-stable with the hook on or off.
   bool wire_transport = false;
   /// Fault-injection policy installed on the platform (empty = no chaos).
   agent::ChaosPolicy chaos;
@@ -74,7 +74,11 @@ struct EnvironmentOptions {
 /// make_environment and keep it alive for the duration of the scenario.
 class Environment {
  public:
-  explicit Environment(const EnvironmentOptions& options);
+  /// Every component counts into `registry` under `labels` (platform,
+  /// chaos, request trackers, monitoring, span-tracer drops, wire link).
+  /// A null registry gives the environment a private one.
+  explicit Environment(const EnvironmentOptions& options,
+                       obs::MetricsRegistry* registry = nullptr, obs::Labels labels = {});
 
   Environment(const Environment&) = delete;
   Environment& operator=(const Environment&) = delete;
@@ -106,11 +110,8 @@ class Environment {
   wire::WireLink* wire_link() noexcept { return wire_link_.get(); }
   const wire::WireLink* wire_link() const noexcept { return wire_link_.get(); }
 
-  /// Pushes every component's counters (platform, chaos, request trackers,
-  /// monitoring liveness) into `registry` under `labels`. Reads only atomic
-  /// state; an engine metrics pass calls this from another thread while the
-  /// shard's worker runs.
-  void publish_metrics(obs::MetricsRegistry& registry, const obs::Labels& labels = {}) const;
+  /// The registry every component counts into (see the constructor).
+  obs::MetricsRegistry& registry() const noexcept { return platform_.registry(); }
 
   /// Drains the event calendar (bounded by `max_events` as a runaway guard).
   std::size_t run(std::size_t max_events = 1'000'000) { return sim_.run(max_events); }
@@ -141,18 +142,18 @@ class Environment {
 /// Builds the standard environment (virolab catalogue unless overridden).
 std::unique_ptr<Environment> make_environment(EnvironmentOptions options = {});
 
-/// Shard-stack factory for the enactment engine: one private, fully wired
-/// environment per worker shard. The shard's seed is derived from
-/// (engine seed, shard index), so shards draw decorrelated random streams
-/// while the whole fleet stays reproducible from one engine seed.
-/// `failure_floor` > 0 arms the shard's failure injector so every dispatch
-/// on the shard fails with at least that probability (per-shard fault
-/// injection for retry experiments). Periodic monitoring is disabled: the
-/// engine drives each shard's calendar in slices and needs it to drain
-/// between cases.
+/// Attempt-stack factory for the enactment engine: the fresh, fully wired
+/// environment one enactment attempt runs on. Its seed — and, when
+/// `base.chaos` is enabled, its chaos seed — derive from (engine seed,
+/// case id, retries) alone, so an attempt does the same work on whichever
+/// shard runs it, whatever ran there before, and after a restart. The
+/// stack counts into `registry` under `labels` (the engine passes its own
+/// registry and {shard="i"}). Periodic monitoring is disabled: the engine
+/// drives the calendar in slices until the attempt's reply arrives.
 std::unique_ptr<Environment> make_shard_stack(EnvironmentOptions base,
                                               std::uint64_t engine_seed,
-                                              std::size_t shard_index,
-                                              double failure_floor = 0.0);
+                                              std::uint64_t case_id, std::uint64_t retries,
+                                              obs::MetricsRegistry& registry,
+                                              obs::Labels labels);
 
 }  // namespace ig::svc

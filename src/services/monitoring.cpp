@@ -19,6 +19,11 @@ const char* to_string(Liveness liveness) noexcept {
 }
 
 void MonitoringService::on_start() {
+  obs::MetricsRegistry& registry = platform().registry();
+  heartbeats_received_ =
+      &registry.counter("monitor_heartbeats_received_total", platform().metric_labels());
+  containers_recovered_ =
+      &registry.counter("monitor_containers_recovered_total", platform().metric_labels());
   register_with_information_service(*this, platform(), "monitoring");
   if (sample_period_ > 0) sample();
 }
@@ -55,7 +60,7 @@ Liveness MonitoringService::classify(const Beat& beat) {
 
 void MonitoringService::record_heartbeat(const std::string& container_id) {
   if (container_id.empty()) return;
-  heartbeats_received_.fetch_add(1, std::memory_order_relaxed);
+  heartbeats_received_->inc();
   auto it = beats_.find(container_id);
   if (it == beats_.end()) {
     beats_[container_id].last_seen = now();
@@ -63,7 +68,7 @@ void MonitoringService::record_heartbeat(const std::string& container_id) {
   }
   // A beat after a Dead-length silence is a recovery: the breaker closes.
   if (classify(it->second) == Liveness::Dead)
-    containers_recovered_.fetch_add(1, std::memory_order_relaxed);
+    containers_recovered_->inc();
   it->second.last_seen = now();
 }
 

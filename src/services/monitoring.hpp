@@ -15,7 +15,6 @@
 // readmits it and counts a recovery.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -73,22 +72,16 @@ class MonitoringService : public agent::Agent {
   /// Containers currently classified Dead.
   std::vector<std::string> dead_containers();
 
-  /// Atomic: engine metrics snapshots read this from another thread.
+  // The liveness counters are instruments of the platform's registry
+  // (monitor_heartbeats_received_total, monitor_containers_recovered_total),
+  // bound in on_start; 0 before the service is registered.
   std::size_t heartbeats_received() const noexcept {
-    return heartbeats_received_.load(std::memory_order_relaxed);
+    return heartbeats_received_ != nullptr ? heartbeats_received_->value() : 0;
   }
   /// Containers that resumed beating (or answered a probe) after having
-  /// been silent past the Dead threshold. Atomic: engine metrics snapshots
-  /// read this from another thread while the shard runs.
+  /// been silent past the Dead threshold.
   std::size_t containers_recovered() const noexcept {
-    return containers_recovered_.load(std::memory_order_relaxed);
-  }
-
-  /// Pushes the liveness counters into `registry` under `labels`. Reads
-  /// only atomic state; safe from a metrics thread while the sim runs.
-  void publish(obs::MetricsRegistry& registry, const obs::Labels& labels = {}) const {
-    registry.counter("monitor_heartbeats_received_total", labels).set_to(heartbeats_received());
-    registry.counter("monitor_containers_recovered_total", labels).set_to(containers_recovered());
+    return containers_recovered_ != nullptr ? containers_recovered_->value() : 0;
   }
 
  private:
@@ -108,9 +101,9 @@ class MonitoringService : public agent::Agent {
 
   HeartbeatConfig heartbeat_;
   std::map<std::string, Beat> beats_;
-  std::atomic<std::size_t> heartbeats_received_{0};
+  obs::Counter* heartbeats_received_ = nullptr;
   std::uint64_t next_probe_ = 0;
-  std::atomic<std::size_t> containers_recovered_{0};
+  obs::Counter* containers_recovered_ = nullptr;
 };
 
 }  // namespace ig::svc

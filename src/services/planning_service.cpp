@@ -13,6 +13,9 @@ using agent::Performative;
 
 void PlanningService::on_start() {
   register_with_information_service(*this, platform(), "planning");
+  obs::Labels labels = platform().metric_labels();
+  labels.emplace_back("owner", "planning");
+  tracker_.count_into(platform().registry(), labels);
   tracker_.bind(
       sim(), [this](AclMessage message) { send(std::move(message)); },
       [this](const DeadLetter& letter) { on_dead_letter(letter); });

@@ -20,6 +20,13 @@ void RequestTracker::bind(grid::Simulation& sim, SendFn send, DeadLetterFn on_de
   on_dead_letter_ = std::move(on_dead_letter);
 }
 
+void RequestTracker::count_into(obs::MetricsRegistry& registry, const obs::Labels& labels) {
+  retries_total_ = &registry.counter("tracker_retries_total", labels);
+  timeouts_total_ = &registry.counter("tracker_timeouts_total", labels);
+  dead_letters_total_ = &registry.counter("tracker_dead_letters_total", labels);
+  own_registry_.reset();
+}
+
 void RequestTracker::track(agent::AclMessage message, const RetryPolicy& policy) {
   if (sim_ == nullptr || !send_)
     throw std::logic_error("RequestTracker::track before bind()");
@@ -69,7 +76,7 @@ void RequestTracker::on_deadline(const std::string& conversation_id) {
   if (it == pending_.end()) return;
   Pending& pending = it->second;
   pending.timer = 0;
-  timeouts_total_.fetch_add(1, std::memory_order_relaxed);
+  timeouts_total_->inc();
 
   if (pending.attempts >= pending.policy.max_attempts) {
     DeadLetter letter;
@@ -81,7 +88,7 @@ void RequestTracker::on_deadline(const std::string& conversation_id) {
     letter.abandoned_at = sim_->now();
     letter.reason = "no reply after " + std::to_string(pending.attempts) + " attempt(s)";
     pending_.erase(it);
-    dead_letters_total_.fetch_add(1, std::memory_order_relaxed);
+    dead_letters_total_->inc();
     dead_letters_.push_back(letter);
     if (max_dead_letters_ > 0 && dead_letters_.size() > max_dead_letters_)
       dead_letters_.erase(dead_letters_.begin());
@@ -90,7 +97,7 @@ void RequestTracker::on_deadline(const std::string& conversation_id) {
   }
 
   ++pending.attempts;
-  retries_total_.fetch_add(1, std::memory_order_relaxed);
+  retries_total_->inc();
   // Decorrelated jitter: sleep ~ U(base, 3 * previous sleep), clamped. The
   // spread keeps a herd of timed-out requests from resending in lockstep.
   const grid::SimTime previous =

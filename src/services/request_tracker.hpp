@@ -19,10 +19,10 @@
 // a chaotic run retries at bitwise-reproducible times.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -72,6 +72,11 @@ class RequestTracker {
   /// Seed for the backoff jitter streams (derive per-shard for engines).
   void set_seed(std::uint64_t seed) noexcept { seed_ = seed; }
 
+  /// Moves the tracker_* counters into `registry` under `labels` (owners
+  /// pass their platform's registry plus an owner label). Call before the
+  /// first `track`; until then the tracker counts into a private registry.
+  void count_into(obs::MetricsRegistry& registry, const obs::Labels& labels);
+
   /// Sends `message` (attempt 1 of `policy.max_attempts`) and arms its
   /// deadline. Re-tracking a conversation id replaces the previous entry.
   void track(agent::AclMessage message, const RetryPolicy& policy);
@@ -99,25 +104,11 @@ class RequestTracker {
   const std::vector<DeadLetter>& dead_letters() const noexcept { return dead_letters_; }
   void set_max_dead_letters(std::size_t limit) noexcept { max_dead_letters_ = limit; }
 
-  // Counters are atomic so an engine metrics snapshot may read them from
-  // another thread while the shard runs.
-  std::size_t retries_total() const noexcept {
-    return retries_total_.load(std::memory_order_relaxed);
-  }
-  std::size_t timeouts_total() const noexcept {
-    return timeouts_total_.load(std::memory_order_relaxed);
-  }
-  std::size_t dead_letters_total() const noexcept {
-    return dead_letters_total_.load(std::memory_order_relaxed);
-  }
-
-  /// Pushes the atomic counters into `registry` under `labels`. Safe from a
-  /// metrics thread while the simulation runs.
-  void publish(obs::MetricsRegistry& registry, const obs::Labels& labels = {}) const {
-    registry.counter("tracker_retries_total", labels).set_to(retries_total());
-    registry.counter("tracker_timeouts_total", labels).set_to(timeouts_total());
-    registry.counter("tracker_dead_letters_total", labels).set_to(dead_letters_total());
-  }
+  // Registry instruments: any thread may read them while the simulation
+  // runs, and they count every tracker that shares the registry and labels.
+  std::size_t retries_total() const noexcept { return retries_total_->value(); }
+  std::size_t timeouts_total() const noexcept { return timeouts_total_->value(); }
+  std::size_t dead_letters_total() const noexcept { return dead_letters_total_->value(); }
 
  private:
   struct Pending {
@@ -141,9 +132,10 @@ class RequestTracker {
   std::map<std::string, Pending> pending_;
   std::vector<DeadLetter> dead_letters_;
   std::size_t max_dead_letters_ = 256;
-  std::atomic<std::size_t> retries_total_{0};
-  std::atomic<std::size_t> timeouts_total_{0};
-  std::atomic<std::size_t> dead_letters_total_{0};
+  std::unique_ptr<obs::MetricsRegistry> own_registry_ = std::make_unique<obs::MetricsRegistry>();
+  obs::Counter* retries_total_ = &own_registry_->counter("tracker_retries_total");
+  obs::Counter* timeouts_total_ = &own_registry_->counter("tracker_timeouts_total");
+  obs::Counter* dead_letters_total_ = &own_registry_->counter("tracker_dead_letters_total");
 };
 
 }  // namespace ig::svc

@@ -334,8 +334,8 @@ TEST(Engine, StatusOfUnknownCaseIsRejected) {
 }
 
 TEST(Engine, ObservabilitySnapshotsRaceShardWorkersSafely) {
-  // The observability read paths — metrics() (atomic platform/tracker
-  // counters + registry refresh), shard_spans() (tracer mutex) — run from a
+  // The observability read paths — metrics() (one registry snapshot +
+  // engine counter refresh), shard_spans() (tracer mutex) — run from a
   // monitor thread while shard workers enact. Under TSan this is the proof
   // the snapshot surfaces are race-free; everywhere it checks that a tight
   // message-trace ring records its evictions in the engine snapshot.

@@ -147,7 +147,8 @@ TEST(Grid, ExecuteSuccessAdvancesQueue) {
   container.host_service("POD");
   Simulation sim;
   FailureInjector injector{util::Rng(1)};
-  const wfl::ServiceType* pod = virolab::make_catalogue().find("POD");
+  const wfl::ServiceCatalogue catalogue = virolab::make_catalogue();
+  const wfl::ServiceType* pod = catalogue.find("POD");
   ASSERT_NE(pod, nullptr);
   const ExecutionResult result = grid.execute(sim, injector, *pod, "c1", 0.0, "d1");
   EXPECT_TRUE(result.success);

@@ -1,14 +1,19 @@
 // The work-stealing job system: exactly-once execution under forced
 // stealing, nested submission, affinity, exception propagation, drain-on-
 // destruct, and the bitwise-determinism contract the planner and engine
-// build on (same results at any worker count, chaos replay included).
+// build on (same results at any worker count, chaos replay included, and
+// engine outcomes independent of shard placement).
 #include "sched/job_system.hpp"
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -136,6 +141,32 @@ TEST(JobSystem, ParallelForCoversEveryIndexOnceWithValidWorkerIds) {
   });
   for (std::size_t i = 0; i < kCount; ++i) ASSERT_EQ(hits[i].load(), 1) << "index " << i;
   EXPECT_TRUE(worker_in_range.load());
+}
+
+TEST(JobSystem, ParallelForSurvivesAnExceptionAndHandlesEmptyRanges) {
+  sched::JobSystem jobs(2);
+  EXPECT_THROW(jobs.parallel_for(8,
+                                 [](std::size_t index, std::size_t) {
+                                   if (index == 3) throw std::runtime_error("bad index");
+                                 }),
+               std::runtime_error);
+  std::atomic<std::size_t> ran{0};
+  jobs.parallel_for(0, [&](std::size_t, std::size_t) { ++ran; });
+  EXPECT_EQ(ran.load(), 0u);
+  jobs.parallel_for(5, [&](std::size_t, std::size_t) { ++ran; });
+  EXPECT_EQ(ran.load(), 5u);
+}
+
+TEST(JobSystem, ZeroWorkerRequestClampsToOne) {
+  EXPECT_GE(sched::JobSystem::hardware_threads(), 1u);
+  sched::JobSystem jobs(0);
+  EXPECT_EQ(jobs.size(), 1u);
+  std::atomic<std::size_t> ran{0};
+  jobs.parallel_for(3, [&](std::size_t, std::size_t worker) {
+    EXPECT_EQ(worker, 0u);
+    ++ran;
+  });
+  EXPECT_EQ(ran.load(), 3u);
 }
 
 TEST(JobSystem, NestedParallelForDoesNotDeadlockOnOneWorker) {
@@ -293,6 +324,115 @@ TEST(JobSystemDeterminism, ChaosReplayIdenticalAcrossWorkerCounts) {
   // has a private worker or shares a wider pool.
   expect_identical_outcomes(run_engine_cases(1, /*chaos=*/true),
                             run_engine_cases(2, /*chaos=*/true));
+}
+
+// -- placement independence ------------------------------------------------------
+//
+// Every attempt runs on a stack derived from (engine seed, case id, retries),
+// so a case's outcome must not depend on the shard count, the worker count,
+// or what a shard ran before — in memory and durable alike, with and without
+// chaos.
+
+constexpr int kPlacementCases = 16;
+
+struct PlacementPoint {
+  bool durable = false;
+  bool chaos = false;
+  std::size_t shards = 1;
+  std::size_t workers = 1;
+};
+
+std::string describe(const PlacementPoint& point) {
+  return std::string(point.durable ? "durable" : "in-memory") +
+         (point.chaos ? ", chaos" : ", no chaos") + ", " + std::to_string(point.shards) +
+         " shard(s), " + std::to_string(point.workers) + " worker(s)";
+}
+
+std::vector<engine::CaseOutcome> run_placement_point(const PlacementPoint& point) {
+  engine::EngineConfig config;
+  config.shards = point.shards;
+  config.workers = point.workers;
+  config.queue_capacity = kPlacementCases;
+  config.environment.topology.domains = 2;
+  config.environment.topology.nodes_per_domain = 3;
+  if (point.chaos) {
+    agent::ChaosRule rule;
+    rule.match.receiver = "ac-*";
+    rule.drop = 0.2;
+    config.environment.chaos.rules.push_back(rule);
+    config.environment.chaos.seed = 99;
+    config.environment.coordination.exec_policy = {300.0, 3, 0.5, 10.0};
+  }
+  static std::atomic<int> next_dir{0};
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) /
+      ("igrid-placement-" + std::to_string(::getpid()) + "-" + std::to_string(next_dir++));
+  if (point.durable) config.storage.data_dir = dir.string();
+
+  std::vector<engine::CaseOutcome> outcomes;
+  {
+    engine::EnactmentEngine engine(config);
+    std::vector<engine::CaseId> ids;
+    for (int i = 0; i < kPlacementCases; ++i) {
+      const double resolution = 8.0 - 0.1 * i;
+      ids.push_back(engine.submit(virolab::make_fig10_process(resolution),
+                                  virolab::make_case_description(resolution)));
+    }
+    engine.drain();
+    for (const engine::CaseId id : ids)
+      outcomes.push_back(engine.result(id).value_or(engine::CaseOutcome{}));
+  }
+  std::error_code ignored;
+  std::filesystem::remove_all(dir, ignored);
+  return outcomes;
+}
+
+/// Everything an outcome says about the enactment itself. Shard, wall-clock
+/// latency and completion order describe the host and are left out.
+void expect_same_enactments(const std::vector<engine::CaseOutcome>& expected,
+                            const std::vector<engine::CaseOutcome>& actual) {
+  ASSERT_EQ(expected.size(), actual.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const engine::CaseOutcome& a = expected[i];
+    const engine::CaseOutcome& b = actual[i];
+    EXPECT_EQ(a.state, b.state) << "case " << i;
+    EXPECT_EQ(a.makespan, b.makespan) << "case " << i;
+    EXPECT_EQ(a.activities_executed, b.activities_executed) << "case " << i;
+    EXPECT_EQ(a.activities_replayed, b.activities_replayed) << "case " << i;
+    EXPECT_EQ(a.dispatch_failures, b.dispatch_failures) << "case " << i;
+    EXPECT_EQ(a.replans, b.replans) << "case " << i;
+    EXPECT_EQ(a.goal_satisfaction, b.goal_satisfaction) << "case " << i;
+    EXPECT_EQ(a.total_cost, b.total_cost) << "case " << i;
+    EXPECT_EQ(a.engine_retries, b.engine_retries) << "case " << i;
+  }
+}
+
+/// Runs every shard/worker point of one mode against its 1-shard,
+/// 1-worker reference, with chaos off and on.
+void expect_placement_independent(bool durable) {
+  for (const bool chaos : {false, true}) {
+    const PlacementPoint reference{durable, chaos, 1, 1};
+    const std::vector<engine::CaseOutcome> expected = run_placement_point(reference);
+    for (const engine::CaseOutcome& outcome : expected)
+      ASSERT_TRUE(engine::is_terminal(outcome.state)) << describe(reference);
+    for (const std::size_t shards :
+         {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+      for (const std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
+        if (shards == 1 && workers == 1) continue;
+        const PlacementPoint point{durable, chaos, shards, workers};
+        SCOPED_TRACE(describe(point));
+        expect_same_enactments(expected, run_placement_point(point));
+      }
+    }
+  }
+}
+
+TEST(JobSystemDeterminism, InMemoryOutcomesIndependentOfPlacement) {
+  expect_placement_independent(/*durable=*/false);
+}
+
+TEST(JobSystemDeterminism, DurableOutcomesIndependentOfPlacement) {
+  expect_placement_independent(/*durable=*/true);
 }
 
 }  // namespace

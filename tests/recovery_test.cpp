@@ -11,6 +11,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -323,6 +324,57 @@ TEST(DurableEngine, JournalStatsAndMetricsArePublished) {
     if (point.name.rfind("store_", 0) == 0) store_series_present = true;
   }
   EXPECT_TRUE(store_series_present);
+}
+
+// Every attempt runs on a freshly built stack, and that stack counts into
+// the engine registry's {shard="i"} instruments directly: an exported
+// counter never goes backwards across rebuilds, and EngineMetrics reports
+// exactly what the registry exports.
+TEST(DurableEngine, ShardCountersNeverDecreaseAcrossAttemptRebuilds) {
+  TempDir dir("counters");
+  const std::size_t kCases = 6;
+  engine::EngineConfig config = durable_config(dir.str(), kCases, 0.2, 31);
+  config.shards = 2;
+  config.environment.wire_transport = true;
+  engine::EnactmentEngine engine(config);
+
+  const auto watched = [](const std::string& name) {
+    return name.rfind("platform_", 0) == 0 || name.rfind("wire_", 0) == 0 ||
+           name.rfind("tracker_", 0) == 0 || name == "chaos_faults_total";
+  };
+  std::map<std::string, double> previous;  // series (name + labels) -> last value
+  for (std::size_t i = 0; i < kCases; ++i) {
+    const double resolution = 8.0 - 0.04 * static_cast<double>(i);
+    const engine::CaseId id = engine.submit(virolab::make_fig10_process(resolution),
+                                            virolab::make_case_description(resolution));
+    ASSERT_TRUE(engine.wait(id).has_value());
+
+    const engine::EngineMetrics metrics = engine.metrics();
+    std::vector<double> faults(metrics.shards.size(), 0.0);
+    for (const obs::MetricPoint& point : engine.registry().snapshot().points) {
+      if (!watched(point.name)) continue;
+      std::string series = point.name;
+      std::size_t shard = metrics.shards.size();
+      for (const auto& [key, value] : point.labels) {
+        series += "," + key + "=" + value;
+        if (key == "shard") shard = std::stoul(value);
+      }
+      if (shard >= metrics.shards.size()) continue;
+      const auto [it, inserted] = previous.try_emplace(series, point.value);
+      if (!inserted) {
+        EXPECT_GE(point.value, it->second) << series << " went backwards after case " << i;
+        it->second = point.value;
+      }
+      if (point.name == "chaos_faults_total") faults[shard] += point.value;
+    }
+    for (std::size_t shard = 0; shard < metrics.shards.size(); ++shard) {
+      EXPECT_EQ(static_cast<double>(metrics.shards[shard].faults_injected), faults[shard])
+          << "shard " << shard << " after case " << i;
+    }
+  }
+  // The chaos layer and the wire must both have been in play.
+  EXPECT_GT(engine.metrics().faults_injected, 0u);
+  EXPECT_GT(previous["wire_frames_total,shard=0"] + previous["wire_frames_total,shard=1"], 0.0);
 }
 
 }  // namespace
