@@ -9,8 +9,10 @@
 // deliberately hollow process, forcing a plan request) — then prints the
 // recorded exchange and checks both arrows are present.
 #include <cstdio>
+#include <optional>
 #include <string>
 
+#include "agent/trace_render.hpp"
 #include "services/environment.hpp"
 #include "services/protocol.hpp"
 #include "virolab/catalogue.hpp"
@@ -50,32 +52,34 @@ class Requester : public agent::Agent {
 
 int main() {
   svc::EnvironmentOptions options;
-  options.tracing = true;
+  options.span_tracing = true;
   options.gp.population_size = 100;
   options.gp.generations = 15;
   auto environment = svc::make_environment(options);
-  environment->platform().clear_trace();
+  environment->tracer().clear();
   auto& requester = environment->platform().spawn<Requester>("ui");
   environment->run();
 
   std::printf("Figure 2: the planning service <-> coordination service exchange\n\n");
   bool saw_specification = false;
   bool saw_plan = false;
-  for (const auto& record : environment->platform().trace()) {
-    const auto& message = record.message;
+  for (const obs::Span& span : environment->tracer().spans()) {
+    const std::optional<agent::AclMessage> decoded = agent::message_of(span);
+    if (!decoded) continue;
+    const agent::AclMessage& message = *decoded;
     const bool is_request = message.protocol == protocols::kReplanRequest ||
                             message.protocol == protocols::kPlanRequest;
     if (!is_request) continue;
     if (message.receiver == names::kPlanning &&
         message.performative == agent::Performative::Request) {
-      std::printf("t=%8.4f  1. Planning task specification   %s\n", record.delivered_at,
+      std::printf("t=%8.4f  1. Planning task specification   %s\n", span.end,
                   message.to_display_string().c_str());
       saw_specification = true;
     }
     if (message.sender == names::kPlanning &&
         message.performative == agent::Performative::Inform) {
       std::printf("t=%8.4f  2. plan                           %s  (plan=%s fitness=%s)\n",
-                  record.delivered_at, message.to_display_string().c_str(),
+                  span.end, message.to_display_string().c_str(),
                   message.param("plan").c_str(), message.param("fitness").c_str());
       saw_plan = true;
     }

@@ -13,8 +13,10 @@
 // The harness disables every POR host, enacts the Figure 10 workflow, and
 // prints the eight-step exchange from the recorded message trace.
 #include <cstdio>
+#include <optional>
 #include <string>
 
+#include "agent/trace_render.hpp"
 #include "services/environment.hpp"
 #include "services/protocol.hpp"
 #include "virolab/catalogue.hpp"
@@ -49,7 +51,7 @@ class Requester : public agent::Agent {
 
 int main() {
   svc::EnvironmentOptions options;
-  options.tracing = true;
+  options.span_tracing = true;
   options.gp.population_size = 120;
   options.gp.generations = 15;
   auto environment = svc::make_environment(options);
@@ -57,14 +59,16 @@ int main() {
   for (const auto* container : environment->grid().containers_advertising("POR"))
     environment->grid().find_container(container->id())->unhost_service("POR");
 
-  environment->platform().clear_trace();
+  environment->tracer().clear();
   auto& requester = environment->platform().spawn<Requester>("ui");
   environment->run();
 
   std::printf("Figure 3: the re-planning communication flow\n\n");
   bool steps[9] = {false};
-  for (const auto& record : environment->platform().trace()) {
-    const auto& message = record.message;
+  for (const obs::Span& span : environment->tracer().spans()) {
+    const std::optional<agent::AclMessage> decoded = agent::message_of(span);
+    if (!decoded) continue;
+    const agent::AclMessage& message = *decoded;
     int step = 0;
     const char* label = "";
     if (message.protocol == protocols::kReplanRequest) {
@@ -104,7 +108,7 @@ int main() {
     }
     if (step == 0) continue;
     steps[step] = true;
-    std::printf("t=%8.4f  %d. %-55s %s", record.delivered_at, step, label,
+    std::printf("t=%8.4f  %d. %-55s %s", span.end, step, label,
                 message.to_display_string().c_str());
     if (step == 7) std::printf("  [%s: %s]", message.param("service").c_str(),
                                message.param("executable").c_str());

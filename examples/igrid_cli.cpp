@@ -12,6 +12,7 @@
 //     through the binary codec so chaos drops real frames
 //   igrid_cli metrics [cases] [shards]       engine workload -> Prometheus text
 //   igrid_cli trace <workflow.txt|demo> [--out file]  enact -> Chrome trace JSON
+//     of the activity and message spans
 //   igrid_cli store <dir> [--populate N] [--compact]  inspect a durable data dir
 //   igrid_cli wire [messages]                binary vs XML ACL encoding comparison
 //   igrid_cli demo                           plan + enact the paper's case study
@@ -21,6 +22,7 @@
 //     {POR; {FORK {P3DR2=P3DR} {P3DR3=P3DR} {P3DR4=P3DR} JOIN}; PSF}}, END
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -67,7 +69,8 @@ int usage() {
                "  chaos    [seed] [drop%%] [cases] [--data-dir <dir>] [--wire]  enact "
                "under message fault injection\n"
                "  metrics  [cases] [shards]    engine workload, Prometheus text on stdout\n"
-               "  trace    <workflow.txt|demo> [--out file]  enacted spans as Chrome trace\n"
+               "  trace    <workflow.txt|demo> [--out file]  activity + message spans as Chrome "
+               "trace\n"
                "  store    <dir> [--populate N] [--compact]  inspect a durable data dir\n"
                "  wire     [messages]          binary vs XML ACL encoding comparison\n"
                "  demo                         plan + enact the paper's case study\n");
@@ -381,6 +384,14 @@ int cmd_trace(const std::string& source, const std::string& out_path) {
                    activity.name.c_str());
       return 1;
     }
+  }
+
+  // The platform's messages ride in the same trace as the activities.
+  if (std::none_of(spans.begin(), spans.end(), [](const obs::Span& span) {
+        return span.kind == obs::SpanKind::Message;
+      })) {
+    std::fprintf(stderr, "error: the trace holds no message spans\n");
+    return 1;
   }
 
   if (out_path.empty()) {

@@ -11,6 +11,7 @@
 // its goal.
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "agent/trace_render.hpp"
 #include "services/environment.hpp"
@@ -54,7 +55,7 @@ class DemoUser : public agent::Agent {
 
 int main() {
   svc::EnvironmentOptions options;
-  options.tracing = true;
+  options.span_tracing = true;
   options.gp.population_size = 120;
   options.gp.generations = 15;
   auto environment = svc::make_environment(options);
@@ -70,7 +71,7 @@ int main() {
 
   auto& user = environment->platform().spawn<DemoUser>(
       "demo-user", virolab::make_fig10_process(), virolab::make_case_description());
-  environment->platform().clear_trace();
+  environment->tracer().clear();
   environment->run();
 
   std::printf("case completed: success=%s replans=%s activities=%s\n\n",
@@ -80,11 +81,11 @@ int main() {
   // Print the Figure 3 exchange from the recorded trace, as a sequence
   // diagram across the participating services.
   std::printf("-- re-planning message flow (Figure 3) --\n");
-  agent::TraceRenderOptions render;
-  render.protocols = {protocols::kReplanRequest, protocols::kQueryService,
-                      protocols::kQueryProviders, protocols::kQueryExecutable};
-  std::printf("%s", agent::render_arrows(environment->platform().trace(), render).c_str());
-  std::printf("\n%s",
-              agent::render_sequence_diagram(environment->platform().trace(), render).c_str());
+  const std::vector<std::string> flow = {protocols::kReplanRequest, protocols::kQueryService,
+                                         protocols::kQueryProviders,
+                                         protocols::kQueryExecutable};
+  const std::vector<obs::Span> spans = environment->tracer().spans();
+  std::printf("%s", agent::render_arrows(spans, flow).c_str());
+  std::printf("\n%s", agent::render_sequence_diagram(spans, flow).c_str());
   return user.report.param("success") == "true" ? 0 : 1;
 }

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <string>
 
+#include "agent/trace_render.hpp"
 #include "services/environment.hpp"
 #include "services/protocol.hpp"
 #include "virolab/catalogue.hpp"
@@ -80,7 +81,7 @@ int main(int argc, char** argv) {
   const bool trace = argc > 1 && std::strcmp(argv[1], "--trace") == 0;
 
   svc::EnvironmentOptions options;
-  options.tracing = trace;
+  options.span_tracing = trace;
   options.seed = 2004;
   auto environment = svc::make_environment(options);
 
@@ -91,7 +92,8 @@ int main(int argc, char** argv) {
   environment->run();
 
   if (trace) {
-    std::printf("\n-- message trace --\n%s", environment->platform().trace_to_string().c_str());
+    std::printf("\n-- message trace --\n%s",
+                agent::trace_to_string(environment->tracer().spans()).c_str());
   }
   std::printf("\n[kernels] refinement passes: %zu, final resolution: %.2f A\n",
               environment->kernels().refinement_passes(),

@@ -2,8 +2,8 @@
 
 #include <stdexcept>
 
+#include "agent/trace_render.hpp"
 #include "util/rng.hpp"
-#include "util/strings.hpp"
 
 namespace ig::agent {
 
@@ -22,7 +22,6 @@ AgentPlatform::AgentPlatform(grid::Simulation& sim, obs::MetricsRegistry* regist
   messages_sent_ = counter("platform_messages_sent_total");
   messages_delivered_ = counter("platform_messages_delivered_total");
   handler_failures_total_ = counter("platform_handler_failures_total");
-  trace_dropped_ = counter("platform_trace_dropped_total");
   transport_rejects_ = counter("platform_transport_rejects_total");
   chaos_dropped_ = chaos("dropped");
   chaos_delayed_ = chaos("delayed");
@@ -89,9 +88,9 @@ void AgentPlatform::send(AclMessage message) {
     const AgentHealth sender_health = agent_health(message.sender);
     if (sender_health != AgentHealth::Healthy) {
       chaos_dropped_->inc();
-      trace_chaos_loss(message, sent_at,
-                       sender_health == AgentHealth::Crashed ? "dropped: sender crashed"
-                                                             : "dropped: sender hung");
+      trace(message, sent_at, false,
+            sender_health == AgentHealth::Crashed ? "dropped: sender crashed"
+                                                  : "dropped: sender hung");
       return;
     }
   }
@@ -105,8 +104,8 @@ void AgentPlatform::send(AclMessage message) {
     std::optional<AclMessage> decoded = transport_hook_(message, &error);
     if (!decoded.has_value()) {
       transport_rejects_->inc();
-      trace_chaos_loss(message, sent_at,
-                       "wire: " + (error.empty() ? std::string("decode error") : error));
+      trace(message, sent_at, false,
+            "wire: " + (error.empty() ? std::string("decode error") : error));
       return;
     }
     message = *std::move(decoded);
@@ -120,7 +119,7 @@ void AgentPlatform::send(AclMessage message) {
       util::Rng rng(util::derive_stream(chaos_->seed, sequence));
       if (rule->drop > 0.0 && rng.next_bool(rule->drop)) {
         chaos_dropped_->inc();
-        trace_chaos_loss(message, sent_at, "dropped");
+        trace(message, sent_at, false, "dropped");
         return;
       }
       if (rule->delay > 0.0 && rng.next_bool(rule->delay)) {
@@ -150,11 +149,6 @@ void AgentPlatform::send(AclMessage message) {
 
 void AgentPlatform::set_chaos(ChaosPolicy policy) {
   chaos_ = std::move(policy);
-  deliveries_by_agent_.clear();
-}
-
-void AgentPlatform::clear_chaos() {
-  chaos_.reset();
   deliveries_by_agent_.clear();
 }
 
@@ -197,34 +191,11 @@ void AgentPlatform::apply_agent_faults(const std::string& receiver) {
   }
 }
 
-void AgentPlatform::set_trace_limit(std::size_t limit) {
-  trace_limit_.store(limit, std::memory_order_relaxed);
-  if (limit == 0) return;
-  while (trace_.size() > limit) {
-    trace_.pop_front();
-    trace_dropped_->inc();
-  }
-}
-
-void AgentPlatform::push_trace(TraceRecord record) {
-  trace_.push_back(std::move(record));
-  const std::size_t limit = trace_limit_.load(std::memory_order_relaxed);
-  if (limit > 0 && trace_.size() > limit) {
-    trace_.pop_front();
-    trace_dropped_->inc();
-  }
-}
-
-void AgentPlatform::trace_chaos_loss(const AclMessage& message, grid::SimTime sent_at,
-                                     const std::string& note) {
-  if (!tracing_) return;
-  TraceRecord record;
-  record.sent_at = sent_at;
-  record.delivered_at = sim_.now();
-  record.message = message;
-  record.delivered = false;
-  record.chaos = note;
-  push_trace(std::move(record));
+obs::SpanId AgentPlatform::trace(const AclMessage& message, grid::SimTime sent_at,
+                                 bool delivered, std::string_view chaos) {
+  if (tracer_ == nullptr || !tracer_->enabled()) return 0;
+  return tracer_->record(
+      message_span(message, sent_at, sim_.now(), delivered, std::string(chaos)));
 }
 
 void AgentPlatform::deliver(AclMessage message, grid::SimTime sent_at) {
@@ -234,21 +205,14 @@ void AgentPlatform::deliver(AclMessage message, grid::SimTime sent_at) {
   if (receiver_health == AgentHealth::Hung) {
     // Black hole: no bounce, no handler, only timeouts can see this.
     chaos_swallowed_->inc();
-    trace_chaos_loss(message, sent_at, "swallowed: receiver hung");
+    trace(message, sent_at, false, "swallowed: receiver hung");
     return;
   }
 
   Agent* receiver =
       receiver_health == AgentHealth::Crashed ? nullptr : find_agent(message.receiver);
-  if (tracing_) {
-    TraceRecord record;
-    record.sent_at = sent_at;
-    record.delivered_at = sim_.now();
-    record.message = message;
-    record.delivered = receiver != nullptr;
-    if (receiver_health == AgentHealth::Crashed) record.chaos = "receiver crashed";
-    push_trace(std::move(record));
-  }
+  const obs::SpanId span = trace(message, sent_at, receiver != nullptr,
+                                receiver_health == AgentHealth::Crashed ? "receiver crashed" : "");
   if (receiver == nullptr) {
     // Bounce: notify the sender (if it still exists) of the failed delivery.
     Agent* sender = find_agent(message.sender);
@@ -270,20 +234,17 @@ void AgentPlatform::deliver(AclMessage message, grid::SimTime sent_at) {
   try {
     receiver->handle_message(message);
   } catch (const std::exception& error) {
-    note_handler_failure(message, error.what());
+    note_handler_failure(message, error.what(), span);
   } catch (...) {
-    note_handler_failure(message, "unknown exception");
+    note_handler_failure(message, "unknown exception", span);
   }
 }
 
-void AgentPlatform::note_handler_failure(const AclMessage& message, const std::string& what) {
+void AgentPlatform::note_handler_failure(const AclMessage& message, const std::string& what,
+                                         obs::SpanId span) {
   handler_failures_[message.receiver] += 1;
   handler_failures_total_->inc();
-  if (tracing_ && !trace_.empty()) {
-    // Our record is still at the back: pushes happen only in deliver() and
-    // the ring drops from the front.
-    trace_.back().handler_error = what;
-  }
+  if (span != 0) tracer_->tag(span, "handler_error", what);
   // Failure/NotUnderstood never provoke a reply, or two broken agents would
   // bounce errors at each other forever.
   if (message.performative == Performative::Failure ||
@@ -302,19 +263,6 @@ void AgentPlatform::note_handler_failure(const AclMessage& message, const std::s
 std::size_t AgentPlatform::handler_failures(std::string_view name) const {
   auto it = handler_failures_.find(std::string(name));
   return it != handler_failures_.end() ? it->second : 0;
-}
-
-std::string AgentPlatform::trace_to_string() const {
-  std::string out;
-  for (const auto& record : trace_) {
-    out += "t=" + util::format_number(record.delivered_at, 4) + "  " +
-           record.message.to_display_string();
-    if (!record.delivered) out += "  (UNDELIVERABLE)";
-    if (!record.handler_error.empty()) out += "  (HANDLER ERROR: " + record.handler_error + ")";
-    if (!record.chaos.empty()) out += "  (CHAOS: " + record.chaos + ")";
-    out += '\n';
-  }
-  return out;
 }
 
 }  // namespace ig::agent

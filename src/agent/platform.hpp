@@ -3,9 +3,10 @@
 // Substitutes for Jade. Delivery is asynchronous on the virtual clock: a
 // sent message arrives after a latency determined by a pluggable function
 // (by default a small constant; the services install a domain-aware function
-// backed by the grid's network model). The platform records a trace of every
-// delivery, which the Figure 2/3 harnesses print as the paper's message
-// flows.
+// backed by the grid's network model). With an enabled obs::SpanTracer
+// attached, every message is recorded as one Message span (see
+// agent/trace_render.hpp), which the Figure 2/3 harnesses print as the
+// paper's message flows.
 //
 // A ChaosPolicy (agent/chaos.hpp) may be installed to inject transport
 // faults — drop, delay, duplicate, reorder — and agent faults (crash, hang),
@@ -22,8 +23,6 @@
 // private registry.
 #pragma once
 
-#include <atomic>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -37,18 +36,9 @@
 #include "agent/message.hpp"
 #include "grid/sim.hpp"
 #include "obs/metrics.hpp"
+#include "obs/span.hpp"
 
 namespace ig::agent {
-
-/// One delivered (or dropped) message, for diagnostics and the flow benches.
-struct TraceRecord {
-  grid::SimTime sent_at = 0.0;
-  grid::SimTime delivered_at = 0.0;
-  AclMessage message;
-  bool delivered = false;      ///< false when the receiver did not exist
-  std::string handler_error;   ///< non-empty when the handler threw on this message
-  std::string chaos;           ///< non-empty when a chaos fault touched this message
-};
 
 /// Transport-level condition of an agent (see ChaosPolicy's AgentFault).
 enum class AgentHealth { Healthy, Crashed, Hung };
@@ -125,8 +115,6 @@ class AgentPlatform {
   /// Installs (or replaces) the fault-injection policy. The fault counters
   /// keep counting across policies.
   void set_chaos(ChaosPolicy policy);
-  void clear_chaos();
-  bool chaos_enabled() const noexcept { return chaos_.has_value() && chaos_->enabled(); }
   /// Snapshot of the injected-fault counters.
   ChaosStats chaos_stats() const;
 
@@ -142,7 +130,7 @@ class AgentPlatform {
 
   // -- containment ---------------------------------------------------------------
   // A handler that throws must not take the platform down with it: deliver()
-  // catches the exception, records it here (and in the trace), and converts
+  // catches the exception, records it here (and on the message span), and converts
   // it into a Failure reply to the sender. Jade behaves the same way — a
   // behaviour that throws kills the behaviour, not the container.
   /// Handler exceptions caught so far for one agent.
@@ -157,31 +145,17 @@ class AgentPlatform {
   }
 
   // -- tracing ------------------------------------------------------------------
-  void set_tracing(bool enabled) noexcept { tracing_ = enabled; }
-  const std::deque<TraceRecord>& trace() const noexcept { return trace_; }
-  void clear_trace() { trace_.clear(); }
-  /// Caps the trace at the most recent `limit` records (ring buffer); the
-  /// oldest record is dropped on overflow. 0 (the default) keeps everything,
-  /// which the Figure 2/3 harnesses rely on; long-running shards set a cap
-  /// so a traced platform cannot grow without bound.
-  void set_trace_limit(std::size_t limit);
-  /// The limit is atomic: the trace ring itself is only mutated on the
-  /// owning sim thread, but other threads may read the limit.
-  std::size_t trace_limit() const noexcept {
-    return trace_limit_.load(std::memory_order_relaxed);
-  }
-  /// Records discarded so far due to the cap.
-  std::size_t trace_dropped() const noexcept { return trace_dropped_->value(); }
-  /// Multi-line "t=0.001 REQUEST cs -> ps [planning-request]" rendering.
-  std::string trace_to_string() const;
+  /// Records every message as a Message span in `tracer` (not owned; null
+  /// detaches). Costs one relaxed load per message while it is disabled.
+  void set_tracer(obs::SpanTracer* tracer) noexcept { tracer_ = tracer; }
 
  private:
   void deliver(AclMessage message, grid::SimTime sent_at);
-  void note_handler_failure(const AclMessage& message, const std::string& what);
-  void push_trace(TraceRecord record);
-  /// Trace a message the chaos layer consumed before/at delivery.
-  void trace_chaos_loss(const AclMessage& message, grid::SimTime sent_at,
-                        const std::string& note);
+  void note_handler_failure(const AclMessage& message, const std::string& what,
+                            obs::SpanId span);
+  /// Records `message` as a Message span ending now; 0 while not tracing.
+  obs::SpanId trace(const AclMessage& message, grid::SimTime sent_at, bool delivered,
+                    std::string_view chaos);
   /// Fires any agent fault armed for this delivery attempt to `receiver`.
   void apply_agent_faults(const std::string& receiver);
 
@@ -195,9 +169,7 @@ class AgentPlatform {
   /// This platform's send count: keys the chaos draws, so it must not be
   /// shared with other platforms the way the registry counters are.
   std::uint64_t send_sequence_ = 0;
-  bool tracing_ = false;
-  std::deque<TraceRecord> trace_;
-  std::atomic<std::size_t> trace_limit_{0};  ///< 0 = unlimited
+  obs::SpanTracer* tracer_ = nullptr;
   std::map<std::string, std::size_t> handler_failures_;
 
   std::optional<ChaosPolicy> chaos_;
@@ -208,7 +180,6 @@ class AgentPlatform {
   obs::Counter* messages_sent_;
   obs::Counter* messages_delivered_;
   obs::Counter* handler_failures_total_;
-  obs::Counter* trace_dropped_;
   obs::Counter* transport_rejects_;
   obs::Counter* chaos_dropped_;
   obs::Counter* chaos_delayed_;

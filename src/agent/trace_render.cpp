@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <map>
+#include <string_view>
+#include <utility>
 
 #include "util/strings.hpp"
 
@@ -9,16 +11,23 @@ namespace ig::agent {
 
 namespace {
 
-bool listed(const std::vector<std::string>& list, const std::string& value) {
-  return list.empty() || std::find(list.begin(), list.end(), value) != list.end();
-}
+constexpr std::string_view kParamPrefix = "param.";
+constexpr std::size_t kMaxLabelWidth = 28;
 
-bool selected(const TraceRecord& record, const TraceRenderOptions& options) {
-  if (!record.delivered) return false;
-  if (!listed(options.protocols, record.message.protocol)) return false;
-  if (options.participants.empty()) return true;
-  return listed(options.participants, record.message.sender) ||
-         listed(options.participants, record.message.receiver);
+/// The delivered messages whose protocol is listed (empty: all), with their
+/// delivery times.
+std::vector<std::pair<double, AclMessage>> selected(const std::vector<obs::Span>& spans,
+                                                    const std::vector<std::string>& protocols) {
+  std::vector<std::pair<double, AclMessage>> rows;
+  for (const obs::Span& span : spans) {
+    std::optional<AclMessage> message = message_of(span);
+    if (!message || span.tag("delivered") != nullptr) continue;
+    if (!protocols.empty() &&
+        std::find(protocols.begin(), protocols.end(), message->protocol) == protocols.end())
+      continue;
+    rows.emplace_back(span.end, *std::move(message));
+  }
+  return rows;
 }
 
 std::string clip(const std::string& text, std::size_t width) {
@@ -29,44 +38,90 @@ std::string clip(const std::string& text, std::size_t width) {
 
 }  // namespace
 
-std::string render_arrows(const std::deque<TraceRecord>& trace,
-                          const TraceRenderOptions& options) {
+obs::Span message_span(const AclMessage& message, double sent_at, double at, bool delivered,
+                       std::string chaos) {
+  obs::Span span;
+  span.kind = obs::SpanKind::Message;
+  span.name =
+      message.protocol.empty() ? std::string(to_string(message.performative)) : message.protocol;
+  span.start = sent_at;
+  span.end = at;
+  span.tags.emplace_back("performative", to_string(message.performative));
+  span.tags.emplace_back("sender", message.sender);
+  span.tags.emplace_back("receiver", message.receiver);
+  span.tags.emplace_back("conversation", message.conversation_id);
+  for (const auto& [key, value] : message.params)
+    span.tags.emplace_back(std::string(kParamPrefix) + key, value);
+  if (!delivered) span.tags.emplace_back("delivered", "false");
+  if (!chaos.empty()) span.tags.emplace_back("chaos", std::move(chaos));
+  return span;
+}
+
+std::optional<AclMessage> message_of(const obs::Span& span) {
+  if (span.kind != obs::SpanKind::Message) return std::nullopt;
+  AclMessage message;
+  for (const auto& [key, value] : span.tags) {
+    if (key == "performative")
+      message.performative = performative_from_string(value).value_or(Performative::Inform);
+    else if (key == "sender") message.sender = value;
+    else if (key == "receiver") message.receiver = value;
+    else if (key == "conversation") message.conversation_id = value;
+    else if (key.starts_with(kParamPrefix)) message.params[key.substr(kParamPrefix.size())] = value;
+  }
+  // The name is the protocol, or the performative when there was none.
+  if (span.name != to_string(message.performative)) message.protocol = span.name;
+  return message;
+}
+
+std::string trace_to_string(const std::vector<obs::Span>& spans) {
   std::string out;
-  for (const auto& record : trace) {
-    if (!selected(record, options)) continue;
-    const std::string label =
-        clip(record.message.protocol.empty() ? std::string(to_string(record.message.performative))
-                                             : record.message.protocol,
-             options.max_label_width);
-    std::string arrow = "──" + label + "──";
-    out += "t=" + util::format_number(record.delivered_at, 4);
-    out.append(out.size() % 2, ' ');  // keep simple alignment stable
-    out += "  " + record.message.sender + " " + arrow + "▶ " + record.message.receiver;
-    out += "  [" + std::string(to_string(record.message.performative)) + "]\n";
+  for (const obs::Span& span : spans) {
+    const std::optional<AclMessage> message = message_of(span);
+    if (!message) continue;
+    out += "t=" + util::format_number(span.end, 4) + "  " + message->to_display_string();
+    if (span.tag("delivered") != nullptr) out += "  (UNDELIVERABLE)";
+    if (const std::string* what = span.tag("handler_error"))
+      out += "  (HANDLER ERROR: " + *what + ")";
+    if (const std::string* note = span.tag("chaos")) out += "  (CHAOS: " + *note + ")";
+    out += '\n';
   }
   return out;
 }
 
-std::string render_sequence_diagram(const std::deque<TraceRecord>& trace,
-                                    const TraceRenderOptions& options) {
+std::string render_arrows(const std::vector<obs::Span>& spans,
+                          const std::vector<std::string>& protocols) {
+  std::string out;
+  for (const auto& [at, message] : selected(spans, protocols)) {
+    const std::string label =
+        clip(message.protocol.empty() ? std::string(to_string(message.performative))
+                                      : message.protocol,
+             kMaxLabelWidth);
+    std::string arrow = "──" + label + "──";
+    out += "t=" + util::format_number(at, 4);
+    out.append(out.size() % 2, ' ');  // keep simple alignment stable
+    out += "  " + message.sender + " " + arrow + "▶ " + message.receiver;
+    out += "  [" + std::string(to_string(message.performative)) + "]\n";
+  }
+  return out;
+}
+
+std::string render_sequence_diagram(const std::vector<obs::Span>& spans,
+                                    const std::vector<std::string>& protocols) {
   // Collect participants in first-appearance order.
   std::vector<std::string> participants;
   auto note = [&participants](const std::string& name) {
     if (std::find(participants.begin(), participants.end(), name) == participants.end())
       participants.push_back(name);
   };
-  std::vector<const TraceRecord*> rows;
-  for (const auto& record : trace) {
-    if (!selected(record, options)) continue;
-    note(record.message.sender);
-    note(record.message.receiver);
-    rows.push_back(&record);
+  const std::vector<std::pair<double, AclMessage>> rows = selected(spans, protocols);
+  for (const auto& [at, message] : rows) {
+    note(message.sender);
+    note(message.receiver);
   }
   if (rows.empty()) return "(no matching messages)\n";
 
   // Column layout: fixed-width lanes, one per participant.
-  const std::size_t lane_width =
-      std::max<std::size_t>(12, options.max_label_width + 4);
+  constexpr std::size_t lane_width = kMaxLabelWidth + 4;
   std::map<std::string, std::size_t> column;
   for (std::size_t i = 0; i < participants.size(); ++i) column[participants[i]] = i;
   const std::size_t time_width = 12;
@@ -79,13 +134,13 @@ std::string render_sequence_diagram(const std::deque<TraceRecord>& trace,
   }
   out += '\n';
 
-  for (const TraceRecord* record : rows) {
-    const std::size_t from = column[record->message.sender];
-    const std::size_t to = column[record->message.receiver];
+  for (const auto& [at, message] : rows) {
+    const std::size_t from = column[message.sender];
+    const std::size_t to = column[message.receiver];
     const std::size_t lo = std::min(from, to);
     const std::size_t hi = std::max(from, to);
 
-    std::string line = "t=" + util::format_number(record->delivered_at, 3);
+    std::string line = "t=" + util::format_number(at, 3);
     line.resize(time_width, ' ');
 
     // Lifelines up to the arrow's start column.
@@ -101,14 +156,12 @@ std::string render_sequence_diagram(const std::deque<TraceRecord>& trace,
       if (from < to) lanes[end - 1] = '>';
       else lanes[start + 1] = '<';
       // Label in the middle of the span.
-      const std::string label = clip(record->message.protocol, end - start > 4
-                                                                   ? end - start - 4
-                                                                   : 1);
+      const std::string label = clip(message.protocol, end - start > 4 ? end - start - 4 : 1);
       const std::size_t label_start = start + 1 + (end - start - label.size()) / 2;
       for (std::size_t i = 0; i < label.size(); ++i) lanes[label_start + i] = label[i];
     } else {
       // Self-message.
-      const std::string label = "(self) " + clip(record->message.protocol, 18);
+      const std::string label = "(self) " + clip(message.protocol, 18);
       for (std::size_t i = 0; i < label.size() && start + 2 + i < lanes.size(); ++i)
         lanes[start + 2 + i] = label[i];
     }

@@ -226,6 +226,7 @@ CaseId EnactmentEngine::submit_xml(std::string process_xml, std::string case_xml
   CaseId id = kInvalidCase;
   bool durable = false;
   bool journal_failed = false;
+  store::Lsn admit_lsn = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (stopping_ || queued_ >= config_.queue_capacity) {
@@ -261,7 +262,8 @@ CaseId EnactmentEngine::submit_xml(std::string process_xml, std::string case_xml
       // durable submission is admitted (and its id acked) only after the
       // admit event is on disk, so an acked id can never be lost to a
       // crash — the invariant the crash-point matrix test holds us to.
-      journal_failed = !journal_append_locked(payload);
+      admit_lsn = journal_append_locked(payload);
+      journal_failed = admit_lsn == 0;
     } else {
       admit_locked(record);
       to_pump = claim_idle_pumps_locked();
@@ -270,7 +272,10 @@ CaseId EnactmentEngine::submit_xml(std::string process_xml, std::string case_xml
   if (durable) {
     // The msync runs outside the engine mutex (group commit absorbs
     // concurrent submits).
-    if (!journal_failed) journal_failed = !journal_commit();
+    // A failed barrier has not lost an admit that another thread's group
+    // commit already made durable: a restart recovers it, so it is acked.
+    if (!journal_failed)
+      journal_failed = !journal_commit() && journal_->durable_lsn() < admit_lsn;
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = records_.find(id);
     if (journal_failed) {
@@ -376,7 +381,7 @@ bool EnactmentEngine::cancel(CaseId id) {
       store::Writer w(payload);
       w.u8(kEventCancel);
       w.u64(id);
-      journaled = journal_append_locked(payload);
+      journaled = journal_append_locked(payload) != 0;
     }
     if (record.state == CaseState::Queued) {
       // Remove from its tenant queue and terminate immediately.
@@ -497,7 +502,7 @@ EngineMetrics EnactmentEngine::metrics() const {
     else if (point.name == "tracker_retries_total") sm.request_retries += value;
     else if (point.name == "tracker_dead_letters_total") sm.dead_letters += value;
     else if (point.name == "monitor_containers_recovered_total") sm.containers_recovered += value;
-    else if (point.name == "platform_trace_dropped_total") sm.trace_dropped += value;
+    else if (point.name == "tracer_spans_dropped_total") sm.trace_dropped += value;
   }
   for (const auto& shard : shards_) {
     ShardMetrics& sm = snapshot.shards[shard->index];
@@ -823,13 +828,12 @@ void EnactmentEngine::degrade_locked(const std::string& reason) {
                         << reason << ")";
 }
 
-bool EnactmentEngine::journal_append_locked(std::string_view payload) {
+store::Lsn EnactmentEngine::journal_append_locked(std::string_view payload) {
   try {
-    journal_->append_event("engine", payload);
-    return true;
+    return journal_->append_event("engine", payload);
   } catch (const store::Error& e) {
     degrade_locked(e.what());
-    return false;
+    return 0;
   }
 }
 

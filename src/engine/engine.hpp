@@ -141,7 +141,7 @@ struct ShardMetrics {
   std::size_t request_retries = 0;   ///< tracked requests re-sent after a timeout
   std::size_t dead_letters = 0;      ///< tracked requests abandoned after max attempts
   std::size_t containers_recovered = 0;  ///< Dead containers readmitted by the breaker
-  std::size_t trace_dropped = 0;  ///< message-trace ring evictions on the shard
+  std::size_t trace_dropped = 0;  ///< spans the shard's tracers dropped over span_limit
   double busy_seconds = 0.0;  ///< wall clock spent enacting
   double utilization = 0.0;   ///< busy_seconds / engine uptime
 };
@@ -246,10 +246,10 @@ class EnactmentEngine {
   obs::MetricsRegistry& registry() noexcept { return registry_; }
   const obs::MetricsRegistry& registry() const noexcept { return registry_; }
 
-  /// Retained enactment spans of one shard's current or last attempt (empty
-  /// when the template did not enable span_tracing, the shard has not run
-  /// an attempt yet, or the index is out of range). Snapshot; safe while
-  /// the shard runs.
+  /// Retained enactment and message spans of one shard's current or last
+  /// attempt (empty when the template did not enable span_tracing, the
+  /// shard has not run an attempt yet, or the index is out of range).
+  /// Snapshot; safe while the shard runs.
   std::vector<obs::Span> shard_spans(std::size_t shard_index) const;
 
  private:
@@ -295,8 +295,9 @@ class EnactmentEngine {
   /// from then on new durable admissions are rejected while running and
   /// queued cases finish on their in-memory state (DESIGN.md §13).
   void degrade_locked(const std::string& reason);
-  /// append_event wrapped in the degradation policy; mutex_ held.
-  bool journal_append_locked(std::string_view payload);
+  /// append_event wrapped in the degradation policy; mutex_ held. Returns
+  /// the event's LSN, or 0 on failure.
+  store::Lsn journal_append_locked(std::string_view payload);
   /// Journal durability barrier wrapped in the degradation policy; called
   /// WITHOUT mutex_ (the msync must not serialize the engine).
   bool journal_commit();

@@ -10,6 +10,7 @@ const char* to_string(SpanKind kind) noexcept {
     case SpanKind::Choice: return "choice";
     case SpanKind::Iteration: return "iteration";
     case SpanKind::Step: return "step";
+    case SpanKind::Message: return "message";
   }
   return "?";
 }
@@ -39,19 +40,9 @@ void SpanTracer::count_drops_into(Counter* counter) {
 
 SpanId SpanTracer::begin(SpanKind kind, std::string name, std::string case_id, SpanId parent,
                          double at) {
-  if (!enabled()) return 0;
-  std::lock_guard<std::mutex> lock(mutex_);
-  const SpanId id = next_++;
-  Span& span = spans_[id];
-  span.id = id;
-  span.parent = parent;
-  span.kind = kind;
-  span.name = std::move(name);
-  span.case_id = std::move(case_id);
-  span.start = at;
-  span.end = at;
-  trim_locked();
-  return id;
+  if (!enabled()) return 0;  // the disabled path builds nothing
+  return insert(Span{.parent = parent, .kind = kind, .name = std::move(name),
+                     .case_id = std::move(case_id), .start = at, .end = at, .tags = {}});
 }
 
 void SpanTracer::tag(SpanId id, std::string key, std::string value) {
@@ -75,6 +66,21 @@ SpanId SpanTracer::instant(SpanKind kind, std::string name, std::string case_id,
                            double at) {
   const SpanId id = begin(kind, std::move(name), std::move(case_id), parent, at);
   end(id, at);
+  return id;
+}
+
+SpanId SpanTracer::record(Span span) {
+  span.closed = true;
+  return insert(std::move(span));
+}
+
+SpanId SpanTracer::insert(Span span) {
+  if (!enabled()) return 0;
+  std::lock_guard<std::mutex> lock(mutex_);
+  span.id = next_++;
+  const SpanId id = span.id;
+  spans_.emplace(id, std::move(span));
+  trim_locked();
   return id;
 }
 

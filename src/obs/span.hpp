@@ -1,21 +1,19 @@
-// Span-based enactment tracing.
+// Span-based tracing: the one trace model.
 //
 // The paper's monitoring service "gathers information about the status of
-// each activity"; this module is the per-case, per-activity record of what
-// the ATN machine actually did and where (virtual) time went. A SpanTracer
-// collects sim-time-stamped spans — case → activity → FORK/JOIN barrier →
-// CHOICE decision → loop iteration — with parent/child links and status
-// tags for retries, re-plans and chaos-induced faults. Both enactment
-// machines emit into it: the synchronous wfl::enact (step-counter
-// timestamps) and the asynchronous CoordinationService (virtual-clock
-// timestamps), so a chaotic run's trace replays bitwise under the same
-// seed. Exporters in obs/export.hpp render spans as Chrome trace_event
-// JSON (chrome://tracing / Perfetto).
+// each activity"; a SpanTracer collects sim-time-stamped spans of what the
+// ATN machine did — case → activity → FORK/JOIN barrier → CHOICE decision →
+// loop iteration, with parent/child links and status tags for retries,
+// re-plans and chaos-induced faults — and of every message the agent
+// platform carried (one closed Message span per send; agent/trace_render.hpp).
+// The synchronous wfl::enact stamps spans with its step counter, the
+// CoordinationService and the platform with the virtual clock, so a chaotic
+// run's trace replays bitwise under the same seed. Exporters in
+// obs/export.hpp render spans as Chrome trace_event JSON (Perfetto).
 //
-// Threading: span ids are handed out and spans mutated under one mutex —
-// emission is per-activity, orders of magnitude rarer than the message hot
-// path — so an engine thread may read spans() while a shard worker enacts.
-// A disabled tracer returns id 0 from begin() after one relaxed atomic
+// Threading: span ids are handed out and spans mutated under one mutex, so
+// an engine thread may read spans() while a shard worker enacts. A disabled
+// tracer returns id 0 from begin() and record() after one relaxed atomic
 // load, and every mutation on id 0 is a no-op.
 #pragma once
 
@@ -42,6 +40,7 @@ enum class SpanKind {
   Choice,     ///< one CHOICE decision (instant)
   Iteration,  ///< one pass of a loop, back-edge -> next decision
   Step,       ///< flow-control node visit (Begin / End / Merge)
+  Message,    ///< one platform message, send -> delivery or loss (closed)
 };
 
 const char* to_string(SpanKind kind) noexcept;
@@ -50,7 +49,7 @@ struct Span {
   SpanId id = 0;
   SpanId parent = 0;       ///< 0 = root
   SpanKind kind = SpanKind::Case;
-  std::string name;        ///< activity / process name
+  std::string name;        ///< activity / process / message protocol name
   std::string case_id;     ///< grouping key ("case-1")
   double start = 0.0;      ///< sim seconds (or machine steps, sync engine)
   double end = 0.0;
@@ -92,6 +91,9 @@ class SpanTracer {
   /// begin + end at the same timestamp (decision points).
   SpanId instant(SpanKind kind, std::string name, std::string case_id, SpanId parent,
                  double at);
+  /// Inserts a finished span built by the caller: assigns its id, marks it
+  /// closed and keeps its start/end and tags. Returns 0 when disabled.
+  SpanId record(Span span);
 
   std::size_t size() const;
   /// All retained spans in creation order.
@@ -101,6 +103,7 @@ class SpanTracer {
   void clear();
 
  private:
+  SpanId insert(Span span);  ///< numbers and stores a span (0 when disabled)
   void trim_locked();
 
   mutable std::mutex mutex_;

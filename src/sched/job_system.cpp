@@ -88,9 +88,10 @@ void JobSystem::push_to(std::size_t target, Job job) {
       depth = worker.deque.size();
       if (was_parked) worker.cv.notify_one();
     }
-    // The target is busy and its backlog is growing: poke one parked
-    // neighbour to come steal instead of letting it sleep through the load.
-    if (!was_parked && depth > 1) wake_one_thief(slot);
+    // The target is busy: poke one parked neighbour to come steal, unless
+    // the target posted this lone job itself (it pops it next). From anyone
+    // else even a depth-1 job may wait behind a job that never yields.
+    if (!was_parked && (depth > 1 || current_worker() != slot)) wake_one_thief(slot);
     return;
   }
   // Every worker has already exited — only reachable when an external thread

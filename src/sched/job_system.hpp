@@ -20,8 +20,9 @@
 //     a GP individual's evaluations stay warm on one worker — but the hint
 //     is advisory, and a busy target's backlog is fair game for thieves.
 //   * Idle workers park on their own condition variable (no spinning); a
-//     post wakes the target, and when the target is already busy with a
-//     deepening backlog one parked neighbour is poked to come steal.
+//     post wakes the target, and when the target is already busy one
+//     parked neighbour is poked to come steal (unless the target itself
+//     posted the deque's only job).
 //   * `parallel_for` submits *chunked* ranges — contiguous index blocks —
 //     instead of driving an atomic cursor one index at a time, which is the
 //     contention fix that makes data-parallel loops over cheap items

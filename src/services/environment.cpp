@@ -20,8 +20,11 @@ Environment::Environment(const EnvironmentOptions& options, obs::MetricsRegistry
   util::Rng topology_rng(options.seed ^ 0x9E3779B97F4A7C15ULL);
   grid::build_topology(grid_, topology, topology_rng);
 
-  platform_.set_tracing(options.tracing);
-  platform_.set_trace_limit(options.trace_limit);
+  tracer_.set_enabled(options.span_tracing);
+  tracer_.set_limit(options.span_limit);
+  tracer_.count_drops_into(
+      &platform_.registry().counter("tracer_spans_dropped_total", platform_.metric_labels()));
+  platform_.set_tracer(&tracer_);
   if (options.wire_transport) {
     // Installed before the bootstrap flush so even the service registration
     // traffic crosses the codec: the intern tables warm up on the names and
@@ -30,10 +33,6 @@ Environment::Environment(const EnvironmentOptions& options, obs::MetricsRegistry
                                                   platform_.metric_labels());
     platform_.set_transport_hook(wire::make_transport_hook(*wire_link_));
   }
-  tracer_.set_enabled(options.span_tracing);
-  tracer_.set_limit(options.span_limit);
-  tracer_.count_drops_into(
-      &platform_.registry().counter("tracer_spans_dropped_total", platform_.metric_labels()));
 
   // -- core services (information service first so registrations succeed) -------
   information_ = &platform_.spawn<InformationService>(names::kInformation);

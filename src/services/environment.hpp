@@ -38,12 +38,8 @@ struct EnvironmentOptions {
   CoordinationConfig coordination;
   virolab::KernelParams kernels;
   bool use_synthetic_kernels = true;  ///< false: declarative postconditions only
-  bool tracing = false;               ///< record every delivered message
-  /// >0 caps the message trace at the most recent N records (ring); 0 keeps
-  /// everything (the Figure 2/3 harnesses rely on the full trace).
-  std::size_t trace_limit = 0;
-  /// Enables the enactment span tracer: the coordination service emits
-  /// case/activity/barrier/choice/iteration spans on the virtual clock.
+  /// Enables the span tracer: the coordination service's enactment spans
+  /// and one span per platform message, all on the virtual clock.
   bool span_tracing = false;
   std::size_t span_limit = 0;         ///< >0 caps retained spans (oldest closed drop)
   grid::SimTime monitor_period = 0.0; ///< >0 enables periodic utilization sampling
@@ -102,7 +98,7 @@ class Environment {
   PlanningService& planning() noexcept { return *planning_; }
   CoordinationService& coordination() noexcept { return *coordination_; }
 
-  /// The enactment span tracer (disabled unless options.span_tracing).
+  /// The enactment and message span tracer (off unless options.span_tracing).
   obs::SpanTracer& tracer() noexcept { return tracer_; }
   const obs::SpanTracer& tracer() const noexcept { return tracer_; }
 

@@ -204,6 +204,8 @@ void StorageEngine::commit() {
   if (wal_ != nullptr) wal_->commit(wal_->last_lsn());
 }
 
+Lsn StorageEngine::durable_lsn() const { return wal_ != nullptr ? wal_->durable_lsn() : 0; }
+
 void StorageEngine::set_state_provider(const std::string& stream,
                                        std::function<std::string()> provider) {
   std::lock_guard<std::mutex> lock(mutex_);

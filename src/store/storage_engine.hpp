@@ -107,6 +107,9 @@ class StorageEngine {
 
   /// Durability barrier over everything appended so far.
   void commit();
+  /// Highest LSN any thread's successful barrier covered (0 in memory mode):
+  /// a record can be durable although its own later commit() failed.
+  Lsn durable_lsn() const;
 
   // -- snapshots & compaction --------------------------------------------------
   /// Registers the provider whose blob represents `stream`'s state in

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 #include "agent/platform.hpp"
 #include "agent/trace_render.hpp"
+#include "obs/span.hpp"
 
 namespace ig::agent {
 namespace {
@@ -162,8 +164,10 @@ class ThrowingAgent : public Agent {
 
 TEST(Platform, ContainsThrowingHandlerAndRepliesFailure) {
   grid::Simulation sim;
+  obs::SpanTracer tracer;
+  tracer.set_enabled(true);
   AgentPlatform platform(sim);
-  platform.set_tracing(true);
+  platform.set_tracer(&tracer);
   auto& sender = platform.spawn<EchoAgent>("tx");
   platform.spawn<ThrowingAgent>("bad");
 
@@ -192,10 +196,10 @@ TEST(Platform, ContainsThrowingHandlerAndRepliesFailure) {
   ASSERT_EQ(platform.handler_failures_by_agent().size(), 1u);
 
   // The trace annotates the poisoned delivery.
-  EXPECT_NE(platform.trace_to_string().find("HANDLER ERROR"), std::string::npos);
+  EXPECT_NE(trace_to_string(tracer.spans()).find("HANDLER ERROR"), std::string::npos);
   bool annotated = false;
-  for (const auto& record : platform.trace())
-    if (!record.handler_error.empty()) annotated = true;
+  for (const auto& span : tracer.spans())
+    if (span.tag("handler_error") != nullptr) annotated = true;
   EXPECT_TRUE(annotated);
 }
 
@@ -236,10 +240,12 @@ TEST(Platform, ContainmentSurvivesDepartedSender) {
   EXPECT_EQ(platform.handler_failures_total(), 1u);
 }
 
-TEST(Platform, TraceRecordsDeliveries) {
+TEST(Platform, MessageSpanRecordsDelivery) {
   grid::Simulation sim;
+  obs::SpanTracer tracer;
+  tracer.set_enabled(true);
   AgentPlatform platform(sim);
-  platform.set_tracing(true);
+  platform.set_tracer(&tracer);
   platform.spawn<EchoAgent>("rx");
   platform.spawn<EchoAgent>("tx");
   AclMessage message;
@@ -249,54 +255,155 @@ TEST(Platform, TraceRecordsDeliveries) {
   message.protocol = "test-proto";
   platform.send(message);
   sim.run();
-  ASSERT_EQ(platform.trace().size(), 1u);
-  EXPECT_TRUE(platform.trace()[0].delivered);
-  const std::string rendered = platform.trace_to_string();
+  const std::vector<obs::Span> spans = tracer.spans();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].kind, obs::SpanKind::Message);
+  EXPECT_TRUE(spans[0].closed);
+  EXPECT_EQ(spans[0].tag("delivered"), nullptr);
+  const std::string rendered = trace_to_string(spans);
   EXPECT_NE(rendered.find("INFORM tx -> rx [test-proto]"), std::string::npos);
-  platform.clear_trace();
-  EXPECT_TRUE(platform.trace().empty());
+  tracer.clear();
+  EXPECT_EQ(tracer.size(), 0u);
 }
 
-TEST(Platform, TraceCapBoundsMemory) {
+/// Passes every message through except protocol "reject", like a codec
+/// that cannot decode one kind of frame.
+std::optional<AclMessage> reject_hook(const AclMessage& message, std::string* error) {
+  if (message.protocol != "reject") return message;
+  if (error != nullptr) *error = "injected reject";
+  return std::nullopt;
+}
+
+TEST(Platform, MessageSpansTagEveryDeliveryOutcome) {
   grid::Simulation sim;
+  obs::SpanTracer tracer;
+  tracer.set_enabled(true);
   AgentPlatform platform(sim);
-  platform.set_tracing(true);
+  platform.set_tracer(&tracer);
+  platform.set_transport_hook(reject_hook);
+  for (const char* name : {"tx", "rx", "lossy", "hung"}) platform.spawn<EchoAgent>(name);
+  platform.spawn<ThrowingAgent>("bad");
+  platform.hang_agent("hung");
+  ChaosPolicy policy;
+  ChaosRule drop_all;
+  drop_all.match.receiver = "lossy";
+  drop_all.drop = 1.0;
+  policy.rules.push_back(drop_all);
+  platform.set_chaos(policy);
+
+  const auto send = [&](const std::string& receiver, const std::string& protocol,
+                        const std::string& conversation) {
+    AclMessage message;
+    message.performative = Performative::Request;
+    message.sender = "tx";
+    message.receiver = receiver;
+    message.protocol = protocol;
+    message.conversation_id = conversation;
+    message.params["k"] = "v";
+    platform.send(message);
+  };
+  send("rx", "ok", "c-delivered");
+  send("ghost", "ok", "c-bounced");
+  send("lossy", "ok", "c-dropped");
+  send("hung", "", "c-swallowed");
+  send("rx", "reject", "c-rejected");
+  send("bad", "ok", "c-threw");
+  sim.run();
+
+  const std::vector<obs::Span> spans = tracer.spans();
+  ASSERT_FALSE(spans.empty());
+  // The first span of a conversation is the original send (bounces and
+  // Failure replies keep the conversation but come later).
+  const auto first = [&spans](const std::string& conversation) -> const obs::Span& {
+    for (const obs::Span& span : spans) {
+      const std::string* tag = span.tag("conversation");
+      if (tag != nullptr && *tag == conversation) return span;
+    }
+    ADD_FAILURE() << "no span for " << conversation;
+    return spans.front();
+  };
+  const auto tag_or_none = [](const obs::Span& span, const std::string& key) {
+    const std::string* value = span.tag(key);
+    return value != nullptr ? *value : std::string("<none>");
+  };
+  for (const obs::Span& span : spans) {
+    EXPECT_EQ(span.kind, obs::SpanKind::Message);
+    EXPECT_TRUE(span.closed);
+    EXPECT_LE(span.start, span.end);
+  }
+
+  const obs::Span& delivered = first("c-delivered");
+  EXPECT_EQ(delivered.name, "ok");
+  EXPECT_DOUBLE_EQ(delivered.start, 0.0);
+  EXPECT_DOUBLE_EQ(delivered.end, 0.001);  // the default transport latency
+  EXPECT_EQ(tag_or_none(delivered, "performative"), "REQUEST");
+  EXPECT_EQ(tag_or_none(delivered, "sender"), "tx");
+  EXPECT_EQ(tag_or_none(delivered, "receiver"), "rx");
+  EXPECT_EQ(tag_or_none(delivered, "param.k"), "v");
+  EXPECT_EQ(tag_or_none(delivered, "delivered"), "<none>");
+  EXPECT_EQ(tag_or_none(delivered, "chaos"), "<none>");
+  EXPECT_EQ(tag_or_none(delivered, "handler_error"), "<none>");
+  const std::optional<AclMessage> decoded = message_of(delivered);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->performative, Performative::Request);
+  EXPECT_EQ(decoded->protocol, "ok");
+  EXPECT_EQ(decoded->conversation_id, "c-delivered");
+  EXPECT_EQ(decoded->param("k"), "v");
+
+  const obs::Span& bounced = first("c-bounced");
+  EXPECT_EQ(tag_or_none(bounced, "receiver"), "ghost");
+  EXPECT_EQ(tag_or_none(bounced, "delivered"), "false");
+  EXPECT_EQ(tag_or_none(bounced, "chaos"), "<none>");
+
+  const obs::Span& dropped = first("c-dropped");
+  EXPECT_EQ(tag_or_none(dropped, "delivered"), "false");
+  EXPECT_EQ(tag_or_none(dropped, "chaos"), "dropped");
+  EXPECT_DOUBLE_EQ(dropped.end, 0.0);  // lost at send time
+
+  const obs::Span& swallowed = first("c-swallowed");
+  EXPECT_EQ(swallowed.name, "REQUEST");  // no protocol: named by performative
+  EXPECT_EQ(message_of(swallowed)->protocol, "");
+  EXPECT_EQ(tag_or_none(swallowed, "delivered"), "false");
+  EXPECT_EQ(tag_or_none(swallowed, "chaos"), "swallowed: receiver hung");
+
+  const obs::Span& rejected = first("c-rejected");
+  EXPECT_EQ(rejected.name, "reject");
+  EXPECT_EQ(tag_or_none(rejected, "delivered"), "false");
+  EXPECT_EQ(tag_or_none(rejected, "chaos"), "wire: injected reject");
+
+  const obs::Span& threw = first("c-threw");
+  EXPECT_EQ(tag_or_none(threw, "delivered"), "<none>");
+  EXPECT_EQ(tag_or_none(threw, "chaos"), "<none>");
+  EXPECT_EQ(tag_or_none(threw, "handler_error"), "boom on REQUEST");
+
+  // Only delivered messages are drawn (the bounce from "ghost" is one);
+  // the log shows every outcome.
+  const std::string arrows = render_arrows(spans);
+  EXPECT_EQ(arrows.find("▶ ghost"), std::string::npos);
+  EXPECT_EQ(arrows.find("▶ lossy"), std::string::npos);
+  EXPECT_NE(arrows.find("▶ rx"), std::string::npos);
+  const std::string log = trace_to_string(spans);
+  EXPECT_NE(log.find("(UNDELIVERABLE)"), std::string::npos);
+  EXPECT_NE(log.find("(CHAOS: dropped)"), std::string::npos);
+  EXPECT_NE(log.find("(HANDLER ERROR: boom on REQUEST)"), std::string::npos);
+}
+
+TEST(Platform, DetachedOrDisabledTracerRecordsNothing) {
+  grid::Simulation sim;
+  obs::SpanTracer tracer;  // attached but never enabled
+  AgentPlatform platform(sim);
   platform.spawn<EchoAgent>("rx");
   platform.spawn<EchoAgent>("tx");
-  EXPECT_EQ(platform.trace_limit(), 0u);  // unlimited by default
-  platform.set_trace_limit(3);
-
-  for (int i = 0; i < 5; ++i) {
-    AclMessage message;
-    message.performative = Performative::Inform;
-    message.sender = "tx";
-    message.receiver = "rx";
-    message.protocol = "msg-" + std::to_string(i);
-    platform.send(message);
-    sim.run();
-  }
-  // The ring keeps the newest 3 records and counts what it dropped.
-  ASSERT_EQ(platform.trace().size(), 3u);
-  EXPECT_EQ(platform.trace_dropped(), 2u);
-  EXPECT_EQ(platform.trace()[0].message.protocol, "msg-2");
-  EXPECT_EQ(platform.trace()[2].message.protocol, "msg-4");
-
-  // Tightening the cap trims existing overflow immediately.
-  platform.set_trace_limit(1);
-  ASSERT_EQ(platform.trace().size(), 1u);
-  EXPECT_EQ(platform.trace()[0].message.protocol, "msg-4");
-  EXPECT_EQ(platform.trace_dropped(), 4u);
-
-  // Lifting the cap stops dropping without clearing history.
-  platform.set_trace_limit(0);
-  AclMessage last;
-  last.performative = Performative::Inform;
-  last.sender = "tx";
-  last.receiver = "rx";
-  last.protocol = "msg-5";
-  platform.send(last);
+  AclMessage message;
+  message.sender = "tx";
+  message.receiver = "rx";
+  platform.send(message);  // no tracer attached yet
   sim.run();
-  EXPECT_EQ(platform.trace().size(), 2u);
+  platform.set_tracer(&tracer);
+  platform.send(message);
+  sim.run();
+  EXPECT_EQ(tracer.size(), 0u);
+  EXPECT_EQ(platform.messages_delivered(), 2u);
 }
 
 TEST(Platform, AgentSchedulesTimers) {
@@ -318,8 +425,10 @@ TEST(Platform, AgentSchedulesTimers) {
 
 TEST(TraceRender, ArrowListingFiltersByProtocol) {
   grid::Simulation sim;
+  obs::SpanTracer tracer;
+  tracer.set_enabled(true);
   AgentPlatform platform(sim);
-  platform.set_tracing(true);
+  platform.set_tracer(&tracer);
   platform.spawn<EchoAgent>("a");
   platform.spawn<EchoAgent>("b");
   for (const char* protocol : {"keep", "drop", "keep"}) {
@@ -331,17 +440,17 @@ TEST(TraceRender, ArrowListingFiltersByProtocol) {
     platform.send(message);
   }
   sim.run();
-  TraceRenderOptions options;
-  options.protocols = {"keep"};
-  const std::string arrows = render_arrows(platform.trace(), options);
+  const std::string arrows = render_arrows(tracer.spans(), {"keep"});
   EXPECT_EQ(std::count(arrows.begin(), arrows.end(), '\n'), 2);
   EXPECT_EQ(arrows.find("drop"), std::string::npos);
 }
 
 TEST(TraceRender, SequenceDiagramHasParticipantsAndArrows) {
   grid::Simulation sim;
+  obs::SpanTracer tracer;
+  tracer.set_enabled(true);
   AgentPlatform platform(sim);
-  platform.set_tracing(true);
+  platform.set_tracer(&tracer);
   platform.spawn<EchoAgent>("cs");
   platform.spawn<EchoAgent>("ps");
   AclMessage message;
@@ -351,7 +460,7 @@ TEST(TraceRender, SequenceDiagramHasParticipantsAndArrows) {
   message.protocol = "planning-request";
   platform.send(message);
   sim.run();
-  const std::string diagram = render_sequence_diagram(platform.trace());
+  const std::string diagram = render_sequence_diagram(tracer.spans());
   EXPECT_NE(diagram.find("cs"), std::string::npos);
   EXPECT_NE(diagram.find("ps"), std::string::npos);
   EXPECT_NE(diagram.find(">"), std::string::npos);

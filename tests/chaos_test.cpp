@@ -7,6 +7,7 @@
 
 #include "agent/platform.hpp"
 #include "engine/engine.hpp"
+#include "obs/span.hpp"
 #include "grid/grid.hpp"
 #include "services/matchmaking.hpp"
 #include "services/monitoring.hpp"
@@ -75,8 +76,10 @@ TEST(ChaosMatch, EmptyFieldsMatchEverythingAndStarMatchesPrefix) {
 
 TEST(Chaos, DropRuleLosesEveryMatchingMessage) {
   grid::Simulation sim;
+  obs::SpanTracer tracer;
+  tracer.set_enabled(true);
   agent::AgentPlatform platform(sim);
-  platform.set_tracing(true);
+  platform.set_tracer(&tracer);
   platform.spawn<Recorder>("a");
   auto& b = platform.spawn<Recorder>("b");
 
@@ -96,8 +99,8 @@ TEST(Chaos, DropRuleLosesEveryMatchingMessage) {
   EXPECT_EQ(platform.chaos_stats().dropped, 5u);
   // The loss is visible in the trace, not silent.
   bool annotated = false;
-  for (const auto& record : platform.trace())
-    if (!record.chaos.empty()) annotated = true;
+  for (const auto& span : tracer.spans())
+    if (span.tag("chaos") != nullptr) annotated = true;
   EXPECT_TRUE(annotated);
 }
 

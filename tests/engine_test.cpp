@@ -338,12 +338,11 @@ TEST(Engine, ObservabilitySnapshotsRaceShardWorkersSafely) {
   // engine counter refresh), shard_spans() (tracer mutex) — run from a
   // monitor thread while shard workers enact. Under TSan this is the proof
   // the snapshot surfaces are race-free; everywhere it checks that a tight
-  // message-trace ring records its evictions in the engine snapshot.
+  // span cap records its evictions in the engine snapshot.
   EngineConfig config = small_config(2);
   config.queue_capacity = 32;
-  config.environment.tracing = true;
-  config.environment.trace_limit = 32;  // fig10 traffic overflows this fast
   config.environment.span_tracing = true;
+  config.environment.span_limit = 32;  // fig10 message traffic overflows this fast
   EnactmentEngine engine(config);
 
   std::atomic<bool> done{false};

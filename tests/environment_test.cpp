@@ -105,13 +105,15 @@ TEST(Environment, DifferentSeedsDifferentTopology) {
 
 TEST(Environment, TracingOffByDefaultOnWhenRequested) {
   auto plain = make_environment();
-  EXPECT_TRUE(plain->platform().trace().empty());
+  EXPECT_EQ(plain->tracer().size(), 0u);
 
   EnvironmentOptions options;
-  options.tracing = true;
+  options.span_tracing = true;
   auto traced = make_environment(options);
-  // Bootstrap registrations are themselves traced.
-  EXPECT_FALSE(traced->platform().trace().empty());
+  // Bootstrap registrations are themselves traced, as message spans.
+  const std::vector<obs::Span> spans = traced->tracer().spans();
+  ASSERT_FALSE(spans.empty());
+  EXPECT_EQ(spans.front().kind, obs::SpanKind::Message);
 }
 
 TEST(Environment, TopologyParamsShapeTheGrid) {

@@ -4,6 +4,7 @@
 // pipeline on the simulated grid.
 #include <gtest/gtest.h>
 
+#include "agent/trace_render.hpp"
 #include "services/container_agent.hpp"
 #include "services/environment.hpp"
 #include "services/protocol.hpp"
@@ -119,9 +120,9 @@ TEST(Integration, PlanThenEnactSurvivesMidRunOutages) {
 
 TEST(Integration, MessageTraceCoversFigure2Exchange) {
   EnvironmentOptions options = small_options();
-  options.tracing = true;
+  options.span_tracing = true;
   auto environment = make_environment(options);
-  environment->platform().clear_trace();
+  environment->tracer().clear();
 
   environment->platform().spawn<UserAgent>("user", virolab::make_case_description());
   environment->run();
@@ -129,13 +130,14 @@ TEST(Integration, MessageTraceCoversFigure2Exchange) {
   // Figure 2: a planning request reaches PS and a plan comes back.
   bool saw_request = false;
   bool saw_reply = false;
-  for (const auto& record : environment->platform().trace()) {
-    if (record.message.protocol == protocols::kPlanRequest) {
-      if (record.message.receiver == names::kPlanning &&
-          record.message.performative == Performative::Request)
+  for (const auto& span : environment->tracer().spans()) {
+    const std::optional<AclMessage> message = agent::message_of(span);
+    if (message && message->protocol == protocols::kPlanRequest) {
+      if (message->receiver == names::kPlanning &&
+          message->performative == Performative::Request)
         saw_request = true;
-      if (record.message.sender == names::kPlanning &&
-          record.message.performative == Performative::Inform)
+      if (message->sender == names::kPlanning &&
+          message->performative == Performative::Inform)
         saw_reply = true;
     }
   }

@@ -47,14 +47,24 @@ bool all_parked(const sched::JobSystem& jobs, std::size_t workers) {
 
 TEST(JobSystem, EveryJobRunsExactlyOnceUnderForcedStealing) {
   constexpr std::size_t kJobs = 100;
+  // Everything the jobs touch outlives the JobSystem, whose destructor
+  // drains whatever an early-returning ASSERT left queued.
+  std::atomic<bool> blocker_started{false};
+  std::atomic<bool> release_blocker{false};
+  std::vector<std::atomic<int>> runs(kJobs);
+  std::atomic<std::size_t> completed{0};
   sched::JobSystem jobs(4);
+  // Released on every exit path: a failed ASSERT must fail the test, not
+  // leave the blocker spinning while the destructor waits on it forever.
+  struct ReleaseOnExit {
+    std::atomic<bool>& flag;
+    ~ReleaseOnExit() { flag.store(true); }
+  } release_on_exit{release_blocker};
 
   // Occupy worker 0 so the affinity-0 backlog below can only drain through
   // steals by the other three workers. Post the blocker only once everyone
   // is parked, so a startup steal scan cannot walk off with it.
   ASSERT_TRUE(eventually([&] { return all_parked(jobs, 4); }));
-  std::atomic<bool> blocker_started{false};
-  std::atomic<bool> release_blocker{false};
   jobs.post(
       [&] {
         blocker_started.store(true);
@@ -63,8 +73,6 @@ TEST(JobSystem, EveryJobRunsExactlyOnceUnderForcedStealing) {
       /*affinity=*/0);
   ASSERT_TRUE(eventually([&] { return blocker_started.load(); }));
 
-  std::vector<std::atomic<int>> runs(kJobs);
-  std::atomic<std::size_t> completed{0};
   for (std::size_t i = 0; i < kJobs; ++i) {
     jobs.post(
         [&, i] {
@@ -101,8 +109,9 @@ TEST(JobSystem, NestedSubmitFromInsideAJob) {
 TEST(JobSystem, AffinityHintHonoredWhenTargetWorkerFree) {
   sched::JobSystem jobs(4);
   // "Target free" means *parked* (see all_parked). Once every worker
-  // sleeps, a single post wakes only the hinted worker (nothing pokes a
-  // thief for a depth-1 deque), so the hint is guaranteed, not advisory.
+  // sleeps, a single post wakes only the hinted worker (a post that finds
+  // its target parked pokes no thief), so the hint is guaranteed, not
+  // advisory.
   for (int round = 0; round < 20; ++round) {
     ASSERT_TRUE(eventually([&] { return all_parked(jobs, 4); })) << "round " << round;
     const std::size_t target = static_cast<std::size_t>(round) % 4;

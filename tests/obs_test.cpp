@@ -244,6 +244,15 @@ TEST(Exporters, ChromeTraceValidatesAndCarriesLinks) {
   tracer.tag(child, "status", "ok");
   tracer.end(child, 2.0);
   tracer.end(root, 3.0);
+  // A platform message rides in the same trace, as one closed span.
+  obs::Span message;
+  message.kind = obs::SpanKind::Message;
+  message.name = "enact-case";
+  message.start = 0.5;
+  message.end = 0.75;
+  message.tags = {{"sender", "ui"}, {"receiver", "cs"}, {"chaos", "\"dropped\""}};
+  const obs::SpanId message_id = tracer.record(message);
+  ASSERT_NE(message_id, 0u);
 
   const std::string trace = obs::to_chrome_trace(tracer.spans());
   std::string problem;
@@ -251,6 +260,10 @@ TEST(Exporters, ChromeTraceValidatesAndCarriesLinks) {
   EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(trace.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(trace.find("\"parent\":" + std::to_string(root)), std::string::npos);
+  EXPECT_NE(trace.find("\"cat\":\"message\""), std::string::npos);
+  EXPECT_NE(trace.find("\"id\":" + std::to_string(message_id)), std::string::npos);
+  EXPECT_NE(trace.find("\"dur\":250000"), std::string::npos);  // 0.25 s in microseconds
+  EXPECT_NE(trace.find("\"receiver\":\"cs\""), std::string::npos);
 }
 
 TEST(Exporters, ValidatorsRejectMalformedInput) {
@@ -415,16 +428,21 @@ ChaosTraceRun traced_chaos_run() {
 TEST(CoordinationSpans, ChaosCrashLeavesRetryTagsWithExactLinksAndOrdering) {
   const ChaosTraceRun run = traced_chaos_run();
   ASSERT_EQ(run.success, "true");
-  ASSERT_FALSE(run.spans.empty());
+  // Message spans (bootstrap traffic included) share the tracer; the case
+  // structure below is about the enactment spans alone.
+  std::vector<obs::Span> enactment;
+  for (const obs::Span& span : run.spans)
+    if (span.kind != obs::SpanKind::Message) enactment.push_back(span);
+  ASSERT_FALSE(enactment.empty());
 
-  const obs::Span& root = run.spans.front();
+  const obs::Span& root = enactment.front();
   ASSERT_EQ(root.kind, obs::SpanKind::Case);
   EXPECT_TRUE(root.closed);
   ASSERT_NE(root.tag("success"), nullptr);
   EXPECT_EQ(*root.tag("success"), "true");
 
   bool saw_retry = false;
-  for (const obs::Span& span : run.spans) {
+  for (const obs::Span& span : enactment) {
     EXPECT_TRUE(span.closed) << span.name;
     EXPECT_LE(span.start, span.end) << span.name;
     EXPECT_EQ(span.case_id, root.case_id);
@@ -452,6 +470,16 @@ TEST(CoordinationSpans, SameSeedChaosRunReplaysSpansBitwise) {
   const ChaosTraceRun first = traced_chaos_run();
   const ChaosTraceRun second = traced_chaos_run();
   ASSERT_EQ(first.success, second.success);
+  // The replay bar covers the message spans too, chaos tags included.
+  std::size_t messages = 0;
+  std::size_t chaos_tagged = 0;
+  for (const obs::Span& span : first.spans) {
+    if (span.kind != obs::SpanKind::Message) continue;
+    ++messages;
+    if (span.tag("chaos") != nullptr) ++chaos_tagged;
+  }
+  EXPECT_GT(messages, 0u);
+  EXPECT_GT(chaos_tagged, 0u);  // the crashed container's bounced dispatch
   ASSERT_EQ(first.spans.size(), second.spans.size());
   for (std::size_t i = 0; i < first.spans.size(); ++i)
     EXPECT_EQ(first.spans[i], second.spans[i]) << "span " << i;

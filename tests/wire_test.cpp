@@ -15,6 +15,7 @@
 
 #include "agent/platform.hpp"
 #include "obs/metrics.hpp"
+#include "obs/span.hpp"
 #include "services/environment.hpp"
 #include "wire/acl_xml.hpp"
 #include "wire/channel.hpp"
@@ -313,8 +314,10 @@ TEST(WireHook, MessagesCrossTheCodecUnchanged) {
 
 TEST(WireHook, RejectedMessageIsCountedAndTraced) {
   grid::Simulation sim;
+  obs::SpanTracer tracer;
+  tracer.set_enabled(true);
   agent::AgentPlatform platform(sim);
-  platform.set_tracing(true);
+  platform.set_tracer(&tracer);
   platform.set_transport_hook([](const AclMessage&, std::string* error) {
     if (error != nullptr) *error = "injected reject";
     return std::optional<AclMessage>();
@@ -331,18 +334,24 @@ TEST(WireHook, RejectedMessageIsCountedAndTraced) {
   EXPECT_TRUE(b.received.empty());
   EXPECT_EQ(platform.transport_rejects(), 1u);
   bool annotated = false;
-  for (const auto& record : platform.trace())
-    if (record.chaos.find("injected reject") != std::string::npos) annotated = true;
+  for (const auto& span : tracer.spans()) {
+    const std::string* note = span.tag("chaos");
+    if (note != nullptr && note->find("injected reject") != std::string::npos) annotated = true;
+  }
   EXPECT_TRUE(annotated);
 }
 
 TEST(WireHook, ChaosReplayIsBitwiseIdenticalWithTheWireOn) {
   // Chaos draws its stream off the send sequence and the wire round trip is
-  // bitwise, so the same seed must produce the same fault counts and the
-  // same delivered messages whether frames cross the codec or not.
+  // bitwise, so the same seed must produce the same fault counts, the
+  // same delivered messages and the same message spans whether frames
+  // cross the codec or not.
   const auto run_once = [](bool wire) {
     grid::Simulation sim;
+    obs::SpanTracer tracer;
+    tracer.set_enabled(true);
     agent::AgentPlatform platform(sim);
+    platform.set_tracer(&tracer);
     WireLink link;
     if (wire) platform.set_transport_hook(make_transport_hook(link));
     platform.spawn<Recorder>("a");
@@ -365,16 +374,18 @@ TEST(WireHook, ChaosReplayIsBitwiseIdenticalWithTheWireOn) {
     sim.run();
     std::string transcript;
     for (const auto& record : b.received) transcript += record.conversation_id + "\n";
-    return std::make_tuple(platform.chaos_stats(), transcript);
+    return std::make_tuple(platform.chaos_stats(), transcript, tracer.spans());
   };
 
-  const auto [bare_stats, bare_transcript] = run_once(false);
-  const auto [wire_stats, wire_transcript] = run_once(true);
+  const auto [bare_stats, bare_transcript, bare_spans] = run_once(false);
+  const auto [wire_stats, wire_transcript, wire_spans] = run_once(true);
   EXPECT_EQ(bare_stats.dropped, wire_stats.dropped);
   EXPECT_EQ(bare_stats.delayed, wire_stats.delayed);
   EXPECT_EQ(bare_stats.duplicated, wire_stats.duplicated);
   EXPECT_EQ(bare_transcript, wire_transcript);
   EXPECT_GT(bare_stats.dropped, 0u);
+  EXPECT_FALSE(bare_spans.empty());
+  EXPECT_TRUE(bare_spans == wire_spans);
 }
 
 // ---------------------------------------------------------------------------
