@@ -127,19 +127,30 @@ std::string to_chrome_trace(const std::vector<Span>& spans) {
     first = false;
     const double ts = span.start * 1e6;        // sim seconds -> microseconds
     const double dur = (span.end - span.start) * 1e6;
-    out += "{\"name\":\"" + json_escape(span.name) + "\"";
-    out += ",\"cat\":\"" + std::string(to_string(span.kind)) + "\"";
-    out += ",\"ph\":\"X\"";
+    const std::string head = "{\"name\":\"" + json_escape(span.name) + "\",\"cat\":\"" +
+                             std::string(to_string(span.kind)) + "\"";
+    const std::string row = ",\"pid\":1,\"tid\":" + std::to_string(case_rows[span.case_id]);
+    std::string args = ",\"args\":{\"id\":" + std::to_string(span.id);
+    args += ",\"parent\":" + std::to_string(span.parent);
+    args += ",\"case\":\"" + json_escape(span.case_id) + "\"";
+    for (const auto& [key, value] : span.tags) {
+      args += ",\"" + json_escape(key) + "\":\"" + json_escape(value) + "\"";
+    }
+    args += "}";
+    if (span.kind == SpanKind::Message) {
+      // Messages in flight overlap freely, and overlapping complete events
+      // on one row do not nest: a message is an async begin/end pair,
+      // matched by its span id.
+      const std::string id = ",\"id\":" + std::to_string(span.id);
+      out += head + ",\"ph\":\"b\"" + id + ",\"ts\":" + format_double(ts) + row + args + "},";
+      out += head + ",\"ph\":\"e\"" + id +
+             ",\"ts\":" + format_double(dur < 0.0 ? ts : ts + dur) + row + "}";
+      continue;
+    }
+    out += head + ",\"ph\":\"X\"";
     out += ",\"ts\":" + format_double(ts);
     out += ",\"dur\":" + format_double(dur < 0.0 ? 0.0 : dur);
-    out += ",\"pid\":1,\"tid\":" + std::to_string(case_rows[span.case_id]);
-    out += ",\"args\":{\"id\":" + std::to_string(span.id);
-    out += ",\"parent\":" + std::to_string(span.parent);
-    out += ",\"case\":\"" + json_escape(span.case_id) + "\"";
-    for (const auto& [key, value] : span.tags) {
-      out += ",\"" + json_escape(key) + "\":\"" + json_escape(value) + "\"";
-    }
-    out += "}}";
+    out += row + args + "}";
   }
   out += "],\"displayTimeUnit\":\"ms\"}";
   return out;

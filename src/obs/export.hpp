@@ -27,8 +27,10 @@ namespace ig::obs {
 std::string to_prometheus(const RegistrySnapshot& snapshot);
 
 /// Chrome trace_event JSON: {"traceEvents": [...]} with one complete ("X")
-/// event per closed span, microsecond timestamps scaled from sim seconds,
-/// one tid row per case. Span links and tags ride in "args".
+/// event per closed span — except message spans, which overlap and so are
+/// async begin/end ("b"/"e") pairs keyed by span id — microsecond
+/// timestamps scaled from sim seconds, one tid row per case. Span links and
+/// tags ride in "args".
 std::string to_chrome_trace(const std::vector<Span>& spans);
 
 /// JSON Lines: one self-contained object per metric, `{"source": source,

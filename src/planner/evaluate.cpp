@@ -1,29 +1,177 @@
 #include "planner/evaluate.hpp"
 
+#include <algorithm>
 #include <iterator>
 #include <memory>
+#include <numeric>
 #include <string>
 
 namespace ig::planner {
+
+class ItemTable {
+ public:
+  explicit ItemTable(const PlanningProblem& problem) : problem_(problem) {
+    std::size_t bit = 0;
+    for (const auto& service : problem.catalogue.services()) {
+      first_filter_.push_back(bit);
+      bit += service.inputs().size();
+    }
+    first_goal_ = bit;
+    words_ = (bit + problem.goals.size() + 63) / 64;
+    for (std::size_t goal = 0; goal < problem.goals.size(); ++goal) {
+      const auto variables = problem.goals[goal].condition.variables();
+      if (!variables.empty())
+        variable_goals_.emplace_back(goal, variables.front());
+      else if (problem.goals[goal].condition.evaluate({}))
+        ++constant_goals_met_;
+    }
+    outputs_.resize(problem.catalogue.size());
+    for (const auto& item : problem.initial_state.items()) initial_.push_back(intern(item));
+  }
+
+  /// Ids of the initial-state items, in state order.
+  const std::vector<std::uint32_t>& initial() const noexcept { return initial_; }
+
+  /// Ids of the items the `occurrence`-th execution of catalogue service
+  /// `service` produces within one flow, created on first request. The k-th
+  /// execution always produces the same specification; occurrence indices
+  /// keep the items *distinct* (binding never reuses one item for two
+  /// formals, and a service like PSF genuinely needs two different 3-D
+  /// models).
+  const std::vector<std::uint32_t>& outputs(std::size_t service, std::size_t occurrence) {
+    auto& per_occurrence = outputs_[service];
+    const wfl::ServiceType& type = problem_.catalogue.services()[service];
+    while (per_occurrence.size() <= occurrence) {
+      const std::string prefix =
+          type.name() + "#" + std::to_string(per_occurrence.size() + 1) + ":";
+      std::vector<std::uint32_t> ids;
+      for (auto& output : type.produce_outputs(prefix)) ids.push_back(intern(std::move(output)));
+      per_occurrence.push_back(std::move(ids));
+    }
+    return per_occurrence[occurrence];
+  }
+
+  /// True when distinct items of `state` can be bound to the service's input
+  /// formals so that its input condition holds: ServiceType::bind_inputs'
+  /// search, with each formal's candidates read from the filter bits.
+  bool bindable(std::size_t service, const std::vector<std::uint32_t>& state) {
+    const wfl::ServiceType& type = problem_.catalogue.services()[service];
+    const std::size_t arity = type.inputs().size();
+    if (candidates_.size() < arity) candidates_.resize(arity);
+    for (std::size_t i = 0; i < arity; ++i) {
+      candidates_[i].clear();
+      for (const std::uint32_t item : state)
+        if (test(item, first_filter_[service] + i)) candidates_[i].push_back(item);
+      if (candidates_[i].empty()) return false;  // precondition cannot be met
+    }
+    // Most-constrained-first ordering prunes the backtracking search.
+    order_.resize(arity);
+    std::iota(order_.begin(), order_.end(), 0);
+    std::sort(order_.begin(), order_.end(), [&](std::size_t a, std::size_t b) {
+      return candidates_[a].size() < candidates_[b].size();
+    });
+    chosen_.resize(arity);
+    return assign(type, 0);
+  }
+
+  /// Goals (Eq. 2) satisfied by some item of `state`; a goal binds its first
+  /// variable existentially, and a goal without variables is a constant.
+  std::size_t goals_met(const std::vector<std::uint32_t>& state) const {
+    std::size_t met = constant_goals_met_;
+    for (const auto& variable_goal : variable_goals_) {
+      for (const std::uint32_t item : state) {
+        if (test(item, first_goal_ + variable_goal.first)) {
+          ++met;
+          break;
+        }
+      }
+    }
+    return met;
+  }
+
+ private:
+  std::uint32_t intern(wfl::DataSpec item) {
+    const auto id = static_cast<std::uint32_t>(items_.size());
+    bits_.resize(bits_.size() + words_, 0);
+    const auto set = [&](std::size_t bit) { bits_[id * words_ + bit / 64] |= 1ULL << (bit % 64); };
+    std::size_t bit = 0;
+    for (const auto& service : problem_.catalogue.services()) {
+      for (std::size_t i = 0; i < service.inputs().size(); ++i, ++bit) {
+        const wfl::Condition& filter = service.unary_filters()[i];
+        if (filter.is_trivially_true() || filter.evaluate_single(service.inputs()[i], item))
+          set(bit);
+      }
+    }
+    for (const auto& [goal, variable] : variable_goals_) {
+      const wfl::Bindings bindings{{variable, &item}};
+      if (problem_.goals[goal].condition.evaluate(bindings)) set(first_goal_ + goal);
+    }
+    items_.push_back(std::move(item));
+    return id;
+  }
+
+  bool test(std::uint32_t item, std::size_t bit) const noexcept {
+    return (bits_[item * words_ + bit / 64] >> (bit % 64)) & 1U;
+  }
+
+  bool assign(const wfl::ServiceType& type, std::size_t depth) {
+    if (depth == order_.size()) {
+      const wfl::Condition& residual = type.residual_condition();
+      if (residual.is_trivially_true()) return true;
+      wfl::Bindings bindings;
+      for (std::size_t i = 0; i < chosen_.size(); ++i)
+        bindings[type.inputs()[i]] = &items_[chosen_[i]];
+      return residual.evaluate(bindings);
+    }
+    const std::size_t formal = order_[depth];
+    for (const std::uint32_t item : candidates_[formal]) {
+      // Distinct formals bind distinct items.
+      bool taken = false;
+      for (std::size_t d = 0; d < depth && !taken; ++d) taken = chosen_[order_[d]] == item;
+      if (taken) continue;
+      chosen_[formal] = item;
+      if (assign(type, depth + 1)) return true;
+    }
+    return false;
+  }
+
+  const PlanningProblem& problem_;
+  std::vector<std::size_t> first_filter_;  ///< per service: bit of its first formal's filter
+  std::size_t first_goal_ = 0;             ///< bit of goal 0
+  std::size_t words_ = 0;                  ///< bit words per item
+  /// (goal index, first variable) of each goal with variables; the others
+  /// are constants, evaluated once into constant_goals_met_.
+  std::vector<std::pair<std::size_t, std::string>> variable_goals_;
+  std::size_t constant_goals_met_ = 0;
+  std::vector<wfl::DataSpec> items_;
+  std::vector<std::uint64_t> bits_;  ///< words_ per item
+  std::vector<std::uint32_t> initial_;
+  std::vector<std::vector<std::vector<std::uint32_t>>> outputs_;  ///< [service][occurrence]
+  // Scratch state of `bindable`, reused across calls.
+  std::vector<std::vector<std::uint32_t>> candidates_;
+  std::vector<std::size_t> order_;
+  std::vector<std::uint32_t> chosen_;
+};
 
 namespace {
 
 /// One simulated execution flow: the evolving world state plus validity
 /// counters ("each execution is counted in the validity check").
 ///
-/// Items are immutable once produced, so the state is a vector of shared
-/// pointers: branching a flow (selective/concurrent/iterative enumeration)
-/// copies pointers, not property maps. Output names are made unique by a
-/// per-flow counter, so plain append suffices (no by-name dedup needed).
+/// Items are immutable once produced, so the state is a vector of item-table
+/// ids: branching a flow (selective/concurrent/iterative enumeration) copies
+/// integers, not property maps. Output names are made unique by a per-flow
+/// counter, so plain append suffices (no by-name dedup needed).
 struct Flow {
-  std::vector<std::shared_ptr<const wfl::DataSpec>> state;
+  std::vector<std::uint32_t> state;
   std::size_t valid = 0;
   std::size_t executed = 0;
   /// Per-service execution counts in this flow (occurrence index into the
-  /// output cache). Linear scan; catalogues hold a handful of services.
-  std::vector<std::pair<const wfl::ServiceType*, std::size_t>> service_counts;
+  /// item table's outputs). Linear scan; catalogues hold a handful of
+  /// services.
+  std::vector<std::pair<std::size_t, std::size_t>> service_counts;
 
-  std::size_t next_occurrence(const wfl::ServiceType* service) {
+  std::size_t next_occurrence(std::size_t service) {
     for (auto& [known, count] : service_counts) {
       if (known == service) return count++;
     }
@@ -34,14 +182,12 @@ struct Flow {
 
 class Simulator {
  public:
-  Simulator(const PlanningProblem& problem, const EvaluationConfig& config, OutputCache& cache)
-      : problem_(problem), config_(config), cache_(cache) {}
+  Simulator(const PlanningProblem& problem, const EvaluationConfig& config, ItemTable& table)
+      : problem_(problem), config_(config), table_(table) {}
 
   std::vector<Flow> run(const PlanNode& plan) {
     Flow initial;
-    initial.state.reserve(problem_.initial_state.size());
-    for (const auto& item : problem_.initial_state.items())
-      initial.state.push_back(std::make_shared<wfl::DataSpec>(item));
+    initial.state = table_.initial();
     std::vector<Flow> flows;
     flows.push_back(std::move(initial));
     simulate(plan, flows);
@@ -56,14 +202,11 @@ class Simulator {
     ++flow.executed;
     const wfl::ServiceType* service = problem_.catalogue.find(node.service);
     if (service == nullptr) return;  // unknown service: executed but invalid
-    scratch_items_.clear();
-    scratch_items_.reserve(flow.state.size());
-    for (const auto& item : flow.state) scratch_items_.push_back(item.get());
-    auto bindings = service->bind_inputs(scratch_items_);
-    if (!bindings.has_value()) return;  // precondition unmet: invalid
+    const auto index = static_cast<std::size_t>(service - problem_.catalogue.services().data());
+    if (!table_.bindable(index, flow.state)) return;  // precondition unmet: invalid
     ++flow.valid;
-    // Postcondition: append the (cached, immutable) produced data.
-    const auto& outputs = cache_.get(*service, flow.next_occurrence(service));
+    // Postcondition: append the (interned, immutable) produced data.
+    const auto& outputs = table_.outputs(index, flow.next_occurrence(index));
     flow.state.insert(flow.state.end(), outputs.begin(), outputs.end());
   }
 
@@ -141,34 +284,21 @@ class Simulator {
 
   const PlanningProblem& problem_;
   const EvaluationConfig& config_;
-  OutputCache& cache_;
+  ItemTable& table_;
   bool truncated_ = false;
-  std::vector<const wfl::DataSpec*> scratch_items_;
 };
 
 }  // namespace
-
-const std::vector<std::shared_ptr<const wfl::DataSpec>>& OutputCache::get(
-    const wfl::ServiceType& service, std::size_t occurrence) {
-  auto& per_occurrence = cache_[service.name()];
-  while (per_occurrence.size() <= occurrence) {
-    const std::string prefix =
-        service.name() + "#" + std::to_string(per_occurrence.size() + 1) + ":";
-    std::vector<std::shared_ptr<const wfl::DataSpec>> items;
-    for (auto& output : service.produce_outputs(prefix))
-      items.push_back(std::make_shared<wfl::DataSpec>(std::move(output)));
-    per_occurrence.push_back(std::move(items));
-  }
-  return per_occurrence[occurrence];
-}
 
 PlanEvaluator::PlanEvaluator(const PlanningProblem& problem, EvaluationConfig config,
                              std::size_t workers)
     : problem_(&problem), config_(config) {
   if (workers == 0) workers = 1;
-  caches_.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) caches_.push_back(std::make_unique<OutputCache>());
+  tables_.reserve(workers);
+  for (std::size_t w = 0; w < workers; ++w) tables_.push_back(std::make_unique<ItemTable>(problem));
 }
+
+PlanEvaluator::~PlanEvaluator() = default;
 
 Fitness PlanEvaluator::evaluate(const PlanNode& plan, std::size_t worker) const {
   evaluations_.fetch_add(1, std::memory_order_relaxed);
@@ -211,7 +341,8 @@ Fitness PlanEvaluator::simulate(const PlanNode& plan, std::size_t worker) const 
   Fitness fitness;
   fitness.size = plan.size();
 
-  Simulator simulator(*problem_, config_, *caches_.at(worker));
+  ItemTable& table = *tables_.at(worker);
+  Simulator simulator(*problem_, config_, table);
   const std::vector<Flow> flows = simulator.run(plan);
   fitness.flows = flows.size();
   fitness.flows_truncated = simulator.truncated();
@@ -232,25 +363,9 @@ Fitness PlanEvaluator::simulate(const PlanNode& plan, std::size_t worker) const 
   // variable existentially over the flow's final items.
   double goal_sum = 0.0;
   for (const auto& flow : flows) {
-    std::size_t satisfied = 0;
-    for (const auto& goal : problem_->goals) {
-      const auto variables = goal.condition.variables();
-      if (variables.empty()) {
-        if (goal.condition.evaluate({})) ++satisfied;
-        continue;
-      }
-      for (const auto& item : flow.state) {
-        wfl::Bindings bindings;
-        bindings[variables.front()] = item.get();
-        if (goal.condition.evaluate(bindings)) {
-          ++satisfied;
-          break;
-        }
-      }
-    }
-    goal_sum += problem_->goals.empty()
-                    ? 1.0
-                    : static_cast<double>(satisfied) / static_cast<double>(problem_->goals.size());
+    goal_sum += problem_->goals.empty() ? 1.0
+                                        : static_cast<double>(table.goals_met(flow.state)) /
+                                              static_cast<double>(problem_->goals.size());
   }
   fitness.goal = flows.empty() ? 0.0 : goal_sum / static_cast<double>(flows.size());
 

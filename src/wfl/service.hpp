@@ -81,9 +81,11 @@ class ServiceType {
   /// nullopt when the precondition cannot be met.
   std::optional<Bindings> bind_inputs(const DataSet& state) const;
 
-  /// Pointer-based variant for callers that keep their own item stores
-  /// (the plan simulator's execution flows). Null items are skipped.
-  std::optional<Bindings> bind_inputs(const std::vector<const DataSpec*>& items) const;
+  /// The binder's split of the input condition: one unary filter per input
+  /// formal (aligned with inputs()) and the residual conjuncts touching more
+  /// than one formal. The plan simulator evaluates the filters once per item.
+  const std::vector<Condition>& unary_filters() const noexcept { return unary_filters_; }
+  const Condition& residual_condition() const noexcept { return residual_condition_; }
 
   /// True when the precondition can be met in `state`.
   bool executable_in(const DataSet& state) const { return bind_inputs(state).has_value(); }

@@ -1,6 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <iterator>
+#include <map>
+#include <string>
+#include <thread>
+
 #include "planner/evaluate.hpp"
+#include "planner/operators.hpp"
+#include "planner/workload.hpp"
 #include "virolab/catalogue.hpp"
 #include "virolab/workflow.hpp"
 
@@ -245,6 +253,334 @@ TEST(EvaluateMemo, WorkersEvaluateIndependentlyWithSharedMemo) {
   no_memo.memoize = false;
   PlanEvaluator independent(problem, no_memo, 2);
   EXPECT_EQ(independent.evaluate(plan, 1).overall, reference.overall);
+}
+
+
+// -- differential test: item-table evaluator vs the interpreted simulator ---
+
+/// The simulator as it was before item interning: every execution binds
+/// with ServiceType::bind_inputs over a DataSet and every goal is
+/// interpreted per flow. Kept here as the reference the fast path must match
+/// bit for bit.
+class InterpretedSimulator {
+ public:
+  InterpretedSimulator(const PlanningProblem& problem, const EvaluationConfig& config)
+      : problem_(problem), config_(config) {}
+
+  Fitness evaluate(const PlanNode& plan) {
+    truncated_ = false;
+    std::vector<Flow> flows(1);
+    flows.front().state = problem_.initial_state;
+    simulate(plan, flows);
+
+    Fitness fitness;
+    fitness.size = plan.size();
+    fitness.flows = flows.size();
+    fitness.flows_truncated = truncated_;
+    std::size_t total_valid = 0;
+    std::size_t total_executed = 0;
+    for (const auto& flow : flows) {
+      total_valid += flow.valid;
+      total_executed += flow.executed;
+    }
+    fitness.validity = total_executed > 0 ? static_cast<double>(total_valid) /
+                                                static_cast<double>(total_executed)
+                                          : 0.0;
+    double goal_sum = 0.0;
+    for (const auto& flow : flows) {
+      std::size_t satisfied = 0;
+      for (const auto& goal : problem_.goals) {
+        const auto variables = goal.condition.variables();
+        if (variables.empty()) {
+          if (goal.condition.evaluate({})) ++satisfied;
+          continue;
+        }
+        for (const auto& item : flow.state.items()) {
+          wfl::Bindings bindings;
+          bindings[variables.front()] = &item;
+          if (goal.condition.evaluate(bindings)) {
+            ++satisfied;
+            break;
+          }
+        }
+      }
+      goal_sum += problem_.goals.empty() ? 1.0
+                                         : static_cast<double>(satisfied) /
+                                               static_cast<double>(problem_.goals.size());
+    }
+    fitness.goal = flows.empty() ? 0.0 : goal_sum / static_cast<double>(flows.size());
+    const double size_ratio =
+        config_.smax > 0 ? static_cast<double>(fitness.size) / static_cast<double>(config_.smax)
+                         : 1.0;
+    fitness.representation = size_ratio < 1.0 ? 1.0 - size_ratio : 0.0;
+    fitness.overall = config_.wv * fitness.validity + config_.wg * fitness.goal +
+                      config_.wr * fitness.representation;
+    return fitness;
+  }
+
+ private:
+  struct Flow {
+    wfl::DataSet state;
+    std::size_t valid = 0;
+    std::size_t executed = 0;
+    std::map<std::string, std::size_t> occurrences;
+  };
+
+  void execute_terminal(const PlanNode& node, Flow& flow) {
+    ++flow.executed;
+    const wfl::ServiceType* service = problem_.catalogue.find(node.service);
+    if (service == nullptr || !service->bind_inputs(flow.state).has_value()) return;
+    ++flow.valid;
+    const std::size_t occurrence = flow.occurrences[service->name()]++;
+    const std::string prefix = service->name() + "#" + std::to_string(occurrence + 1) + ":";
+    for (auto& output : service->produce_outputs(prefix)) flow.state.put(std::move(output));
+  }
+
+  void cap_flows(std::vector<Flow>& flows) {
+    if (flows.size() > config_.max_flows) {
+      flows.resize(config_.max_flows);
+      truncated_ = true;
+    }
+  }
+
+  void simulate(const PlanNode& node, std::vector<Flow>& flows) {
+    switch (node.kind) {
+      case PlanNode::Kind::Terminal:
+        for (auto& flow : flows) execute_terminal(node, flow);
+        return;
+      case PlanNode::Kind::Sequential:
+        for (const auto& child : node.children) simulate(child, flows);
+        return;
+      case PlanNode::Kind::Concurrent: {
+        if (node.children.size() <= 1 || config_.concurrent_orders <= 1) {
+          for (const auto& child : node.children) simulate(child, flows);
+          return;
+        }
+        std::vector<Flow> reversed_flows = flows;
+        for (const auto& child : node.children) simulate(child, flows);
+        for (auto it = node.children.rbegin(); it != node.children.rend(); ++it)
+          simulate(*it, reversed_flows);
+        flows.insert(flows.end(), std::make_move_iterator(reversed_flows.begin()),
+                     std::make_move_iterator(reversed_flows.end()));
+        cap_flows(flows);
+        return;
+      }
+      case PlanNode::Kind::Selective: {
+        std::vector<Flow> combined;
+        for (std::size_t i = 0; i < node.children.size(); ++i) {
+          std::vector<Flow> branch_flows = flows;
+          simulate(node.children[i], branch_flows);
+          combined.insert(combined.end(), std::make_move_iterator(branch_flows.begin()),
+                          std::make_move_iterator(branch_flows.end()));
+          cap_flows(combined);
+          if (combined.size() >= config_.max_flows) {
+            if (i + 1 < node.children.size()) truncated_ = true;
+            break;
+          }
+        }
+        flows = std::move(combined);
+        return;
+      }
+      case PlanNode::Kind::Iterative: {
+        std::vector<Flow> combined;
+        std::vector<Flow> current = flows;
+        for (std::size_t pass = 1; pass <= config_.max_unroll; ++pass) {
+          for (const auto& child : node.children) simulate(child, current);
+          combined.insert(combined.end(), current.begin(), current.end());
+          cap_flows(combined);
+          if (combined.size() >= config_.max_flows) {
+            if (pass < config_.max_unroll) truncated_ = true;
+            break;
+          }
+        }
+        flows = std::move(combined);
+        return;
+      }
+    }
+  }
+
+  const PlanningProblem& problem_;
+  const EvaluationConfig& config_;
+  bool truncated_ = false;
+};
+
+wfl::ServiceType make_service(const char* name, std::vector<std::string> inputs,
+                              const char* input_condition, std::vector<std::string> outputs,
+                              const char* output_condition) {
+  wfl::ServiceType service(name);
+  service.set_inputs(std::move(inputs));
+  service.set_input_condition(wfl::Condition::parse(input_condition));
+  service.set_outputs(std::move(outputs));
+  service.set_output_condition(wfl::Condition::parse(output_condition));
+  return service;
+}
+
+/// A catalogue whose preconditions exercise every binder path: a numeric
+/// string compared with a number, or/not filters, conjuncts touching two
+/// formals, a conjunct on a variable that is no formal, a zero-input
+/// service and a service needing two distinct items of one kind.
+PlanningProblem hand_built_problem() {
+  PlanningProblem problem;
+  problem.name = "hand-built";
+  problem.initial_state.put(
+      wfl::DataSpec("seed1").with_classification("Raw").with("Value", meta::Value("12")));
+  problem.initial_state.put(
+      wfl::DataSpec("seed2").with_classification("Raw").with("Value", meta::Value(3.0)));
+  problem.initial_state.put(wfl::DataSpec("memo").with_classification("Note"));
+
+  problem.catalogue.add(make_service("Refine", {"A"},
+                                     "A.Classification = \"Raw\" and A.Value > 8", {"C"},
+                                     "C.Classification = \"Refined\" and C.Value = \"12\""));
+  problem.catalogue.add(make_service(
+      "Pair", {"A", "B"},
+      "A.Classification = \"Refined\" and (B.Classification = \"Raw\" or "
+      "B.Classification = \"Refined\") and not B.Value < 5 and (A.Value > 20 or B.Value > 10)",
+      {"P"}, "P.Classification = \"Pair\" and P.Value = 15"));
+  problem.catalogue.add(make_service("Merge", {"X", "Y"},
+                                     "X.Classification = \"Pair\" and Y.Classification = \"Pair\"",
+                                     {"M"}, "M.Classification = \"Merged\" and M.Value = 20"));
+  problem.catalogue.add(
+      make_service("Gen", {}, "", {"G"}, "G.Classification = \"Raw\" and G.Value = \"9\""));
+  problem.catalogue.add(make_service("Annotate", {"A"},
+                                     "A.Classification = \"Note\" and not Z.Value > 1", {"N"},
+                                     "N.Classification = \"Note\""));
+  problem.catalogue.add(make_service("Never", {"A"},
+                                     "A.Classification = \"Note\" and Z.Value > 1", {"Q"},
+                                     "Q.Classification = \"Merged\""));
+
+  const auto goal = [&](const char* text) {
+    problem.goals.push_back({text, wfl::Condition::parse(text)});
+  };
+  goal("M.Classification = \"Merged\" and M.Value >= 20");
+  goal("R.Classification = \"Pair\" or not R.Value < 10");
+  goal("true");
+  goal("false");
+  goal("A.Classification = \"Note\" or B.Classification = \"Pair\"");
+  return problem;
+}
+
+PlanningProblem layered_problem() {
+  WorkloadParams params;
+  params.depth = 3;
+  params.services_per_layer = 2;
+  params.fan_in = 2;
+  params.distractor_chains = 1;
+  params.seed = 7;
+  return make_layered_problem(params);
+}
+
+void expect_same(const Fitness& fast, const Fitness& reference, const PlanNode& plan) {
+  SCOPED_TRACE(plan.to_tree_string());
+  EXPECT_EQ(fast.overall, reference.overall);
+  EXPECT_EQ(fast.validity, reference.validity);
+  EXPECT_EQ(fast.goal, reference.goal);
+  EXPECT_EQ(fast.representation, reference.representation);
+  EXPECT_EQ(fast.size, reference.size);
+  EXPECT_EQ(fast.flows, reference.flows);
+  EXPECT_EQ(fast.flows_truncated, reference.flows_truncated);
+}
+
+void count_kinds(const PlanNode& node, std::array<std::size_t, 5>& kinds) {
+  ++kinds[static_cast<std::size_t>(node.kind)];
+  for (const auto& child : node.children) count_kinds(child, kinds);
+}
+
+std::vector<PlanNode> random_plans(const PlanningProblem& problem, std::uint64_t seed,
+                                   std::size_t count) {
+  util::Rng rng(seed);
+  const std::array<InitStyle, 3> styles{InitStyle::Grow, InitStyle::Full, InitStyle::Ramped};
+  std::vector<PlanNode> plans;
+  for (std::size_t i = 0; i < count; ++i)
+    plans.push_back(random_tree(rng, problem.catalogue, 4 + i % 24, styles[i % styles.size()]));
+  return plans;
+}
+
+/// Evaluates 200 random plans under four configurations (one and two
+/// concurrent orders, default and tight flow caps) with both simulators.
+void differential(const PlanningProblem& problem, std::uint64_t seed) {
+  const std::vector<PlanNode> plans = random_plans(problem, seed, 200);
+  std::array<std::size_t, 5> kinds{};
+  for (const auto& plan : plans) count_kinds(plan, kinds);
+  for (std::size_t kind = 0; kind < kinds.size(); ++kind) EXPECT_GT(kinds[kind], 0u) << kind;
+
+  std::size_t truncated = 0;
+  std::size_t partly_valid = 0;
+  for (const std::size_t orders : {1u, 2u}) {
+    for (const std::size_t max_flows : {64u, 6u}) {
+      EvaluationConfig config;
+      config.concurrent_orders = orders;
+      config.max_flows = max_flows;
+      config.max_unroll = max_flows < 64 ? 3 : 2;
+      PlanEvaluator evaluator(problem, config);
+      InterpretedSimulator reference(problem, config);
+      for (const auto& plan : plans) {
+        const Fitness fast = evaluator.evaluate(plan);
+        expect_same(fast, reference.evaluate(plan), plan);
+        if (fast.flows_truncated) ++truncated;
+        if (fast.validity > 0.0 && fast.validity < 1.0) ++partly_valid;
+      }
+    }
+  }
+  EXPECT_GT(truncated, 0u);
+  EXPECT_GT(partly_valid, 0u);
+}
+
+TEST(EvaluateDifferential, VirolabMatchesInterpretedSimulator) {
+  differential(virolab_problem(), 11);
+}
+
+TEST(EvaluateDifferential, LayeredProblemMatchesInterpretedSimulator) {
+  differential(layered_problem(), 12);
+}
+
+TEST(EvaluateDifferential, HandBuiltCatalogueMatchesInterpretedSimulator) {
+  const PlanningProblem problem = hand_built_problem();
+  differential(problem, 13);
+
+  // Spot checks that the catalogue really reaches its deep paths: the
+  // numeric string "12" passes Refine and, as B, Pair's two-formal conjunct;
+  // Annotate's residual on the unbound Z holds only negated; and Merge needs
+  // two distinct pairs.
+  PlanEvaluator evaluator(problem);
+  const Fitness merged =
+      evaluator.evaluate(seq({"Refine", "Refine", "Pair", "Pair", "Merge", "Annotate", "Never"}));
+  EXPECT_EQ(merged.validity, 6.0 / 7.0);
+  // Goals: merged, pair, true, (not false), note-or-pair -> 4 of 5.
+  EXPECT_EQ(merged.goal, 4.0 / 5.0);
+  const Fitness one_pair = evaluator.evaluate(seq({"Refine", "Pair", "Merge"}));
+  EXPECT_EQ(one_pair.validity, 2.0 / 3.0);
+}
+
+TEST(EvaluateDifferential, ConcurrentWorkersFillTheirTablesIndependently) {
+  const PlanningProblem problem = hand_built_problem();
+  const std::vector<PlanNode> plans = random_plans(problem, 14, 120);
+  EvaluationConfig config;
+  config.memoize = false;  // every worker simulates every plan
+  std::vector<Fitness> expected;
+  InterpretedSimulator reference(problem, config);
+  for (const auto& plan : plans) expected.push_back(reference.evaluate(plan));
+
+  constexpr std::size_t kWorkers = 4;
+  PlanEvaluator evaluator(problem, config, kWorkers);
+  std::vector<std::vector<Fitness>> results(kWorkers);
+  std::vector<std::thread> threads;
+  for (std::size_t worker = 0; worker < kWorkers; ++worker) {
+    threads.emplace_back([&, worker] {
+      // Each worker walks the plans from a different offset, so the tables
+      // grow in different orders.
+      for (std::size_t i = 0; i < plans.size(); ++i) {
+        const std::size_t index = (i + worker * 31) % plans.size();
+        results[worker].push_back(evaluator.evaluate(plans[index], worker));
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (std::size_t worker = 0; worker < kWorkers; ++worker) {
+    for (std::size_t i = 0; i < plans.size(); ++i) {
+      const std::size_t index = (i + worker * 31) % plans.size();
+      expect_same(results[worker][i], expected[index], plans[index]);
+    }
+  }
 }
 
 }  // namespace

@@ -260,10 +260,47 @@ TEST(Exporters, ChromeTraceValidatesAndCarriesLinks) {
   EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(trace.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(trace.find("\"parent\":" + std::to_string(root)), std::string::npos);
-  EXPECT_NE(trace.find("\"cat\":\"message\""), std::string::npos);
-  EXPECT_NE(trace.find("\"id\":" + std::to_string(message_id)), std::string::npos);
-  EXPECT_NE(trace.find("\"dur\":250000"), std::string::npos);  // 0.25 s in microseconds
+  EXPECT_NE(trace.find("\"dur\":1000000"), std::string::npos);  // 1 s in microseconds
   EXPECT_NE(trace.find("\"receiver\":\"cs\""), std::string::npos);
+  // Messages overlap, so they are async begin/end pairs keyed by span id,
+  // never complete events (which would have to nest on their row).
+  const std::string id = "\"id\":" + std::to_string(message_id);
+  const std::string begin = "\"cat\":\"message\",\"ph\":\"b\"," + id + ",\"ts\":500000";
+  const std::string end = "\"cat\":\"message\",\"ph\":\"e\"," + id + ",\"ts\":750000";
+  EXPECT_NE(trace.find(begin), std::string::npos) << trace;
+  EXPECT_NE(trace.find(end), std::string::npos) << trace;
+  EXPECT_EQ(trace.find("\"cat\":\"message\",\"ph\":\"X\""), std::string::npos);
+}
+
+TEST(Exporters, OverlappingMessagesBecomeMatchedAsyncPairs) {
+  obs::SpanTracer tracer;
+  tracer.set_enabled(true);
+  std::vector<obs::SpanId> ids;
+  for (const auto& [start, end] : {std::pair{0.0, 2.0}, std::pair{1.0, 3.0}}) {
+    obs::Span message;
+    message.kind = obs::SpanKind::Message;
+    message.name = "execute";
+    message.start = start;
+    message.end = end;
+    ids.push_back(tracer.record(message));
+  }
+  const std::string trace = obs::to_chrome_trace(tracer.spans());
+  std::string problem;
+  EXPECT_TRUE(obs::validate_json(trace, &problem)) << problem;
+  const auto count = [&](const std::string& needle) {
+    std::size_t n = 0;
+    for (std::size_t at = trace.find(needle); at != std::string::npos;
+         at = trace.find(needle, at + 1))
+      ++n;
+    return n;
+  };
+  // One begin and one end per message, each carrying the span id.
+  for (const obs::SpanId id : ids) {
+    const std::string key = "\"id\":" + std::to_string(id) + ",\"ts\":";
+    EXPECT_EQ(count("\"ph\":\"b\"," + key), 1u) << trace;
+    EXPECT_EQ(count("\"ph\":\"e\"," + key), 1u) << trace;
+  }
+  EXPECT_EQ(count("\"ph\":\"X\""), 0u) << trace;
 }
 
 TEST(Exporters, ValidatorsRejectMalformedInput) {
