@@ -5,14 +5,22 @@
 // performative, sender/receiver, a conversation id correlating a whole
 // exchange (e.g. one re-planning episode), a protocol name, and content.
 // Content travels either as a free-form string (often XML produced by the
-// wfl/meta serializers) or as lightweight key-value parameters.
+// wfl/meta serializers) or as lightweight key-value parameters. A data set
+// travels typed: `data` is shared, immutable and never serialized between
+// the agents of one platform; the platform renders it into `content` only
+// where a transport hook carries the message (see AgentPlatform::send).
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
+
+namespace ig::wfl {
+class DataSet;
+}  // namespace ig::wfl
 
 namespace ig::agent {
 
@@ -49,6 +57,9 @@ struct AclMessage {
   std::string ontology;         ///< vocabulary of the content, e.g. "grid-standard"
   std::string content;          ///< free-form payload (often XML)
   std::map<std::string, std::string> params;  ///< structured payload fields
+  /// Typed data-set payload. Receivers read it through
+  /// svc::dataset_payload, which falls back to decoding `content`.
+  std::shared_ptr<const wfl::DataSet> data;
 
   /// Returns params[key] or `fallback`.
   std::string param(std::string_view key, std::string_view fallback = "") const;

@@ -4,6 +4,7 @@
 
 #include "agent/trace_render.hpp"
 #include "util/rng.hpp"
+#include "wfl/xml_io.hpp"
 
 namespace ig::agent {
 
@@ -98,8 +99,12 @@ void AgentPlatform::send(AclMessage message) {
   // The transport hook carries the message through a real encode/decode
   // path before any chaos decision, so the chaos layer handles frames that
   // actually crossed the codec. A rejected message never reaches the wire:
-  // it is counted, traced, and gone.
+  // it is counted, traced, and gone. A typed data set becomes the XML
+  // content the medium carries; `data` stays on the message, so a
+  // pass-through hook still delivers it typed.
   if (transport_hook_) {
+    if (message.data != nullptr && message.content.empty())
+      message.content = wfl::dataset_to_xml_string(*message.data);
     std::string error;
     std::optional<AclMessage> decoded = transport_hook_(message, &error);
     if (!decoded.has_value()) {

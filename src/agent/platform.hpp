@@ -48,7 +48,10 @@ enum class AgentHealth { Healthy, Crashed, Hung };
 /// (e.g. the wire codec's framed byte stream) and returns what arrived, or
 /// nullopt if the transport rejected it (writing a reason into *error). The
 /// chaos policy then acts on the *decoded* message, so injected faults hit
-/// frames that really crossed a codec, not in-memory copies.
+/// frames that really crossed a codec, not in-memory copies. A hook sees a
+/// typed data set twice: in `data`, and rendered as XML in `content` (send()
+/// fills an empty content before calling the hook). A medium that carries
+/// only bytes delivers the content, and the receiver decodes it.
 using TransportHook =
     std::function<std::optional<AclMessage>(const AclMessage&, std::string* error)>;
 

@@ -13,6 +13,9 @@ namespace {
 
 constexpr std::string_view kParamPrefix = "param.";
 constexpr std::size_t kMaxLabelWidth = 28;
+/// Longer param values (whole XML documents such as `case-xml`) are traced
+/// by size only.
+constexpr std::size_t kMaxTracedParam = 256;
 
 /// The delivered messages whose protocol is listed (empty: all), with their
 /// delivery times.
@@ -50,8 +53,17 @@ obs::Span message_span(const AclMessage& message, double sent_at, double at, boo
   span.tags.emplace_back("sender", message.sender);
   span.tags.emplace_back("receiver", message.receiver);
   span.tags.emplace_back("conversation", message.conversation_id);
-  for (const auto& [key, value] : message.params)
-    span.tags.emplace_back(std::string(kParamPrefix) + key, value);
+  for (const auto& [key, value] : message.params) {
+    std::string traced;
+    if (value.size() <= kMaxTracedParam) {
+      traced = value;
+    } else {
+      traced = '<';
+      traced += std::to_string(value.size());
+      traced += " bytes>";
+    }
+    span.tags.emplace_back(std::string(kParamPrefix) + key, std::move(traced));
+  }
   if (!delivered) span.tags.emplace_back("delivered", "false");
   if (!chaos.empty()) span.tags.emplace_back("chaos", std::move(chaos));
   return span;

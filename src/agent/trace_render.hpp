@@ -4,10 +4,11 @@
 // start is the send time, end the delivery or loss time, and name the
 // protocol (the performative when the protocol is empty). Its tags are
 // performative, sender, receiver, conversation and one `param.<key>` per
-// param, plus — only when they apply — delivered=false, chaos=<note> and
-// handler_error=<what>. The figure benches and the replanning demo render
-// these spans as a message log or as the lifeline diagrams the paper's
-// Figures 2 and 3 draw by hand:
+// param (a value over 256 bytes is recorded as "<N bytes>"), plus — only
+// when they apply — delivered=false, chaos=<note> and handler_error=<what>.
+// The figure benches and the replanning demo render these spans as a
+// message log or as the lifeline diagrams the paper's Figures 2 and 3 draw
+// by hand:
 //
 //   t=0.0010        cs ──planning-request──────────▶ ps
 //   t=0.5012        ps ──planning-request──────────▶ cs   (INFORM)

@@ -67,7 +67,7 @@ class NetworkModel {
   static std::pair<std::string, std::string> key(std::string_view a, std::string_view b);
 
   LinkSpec default_link_{};
-  LinkSpec local_link_{0.0005, 1000.0};
+  LinkSpec local_link_{0.0005, 1000.0, {}};
   std::map<std::pair<std::string, std::string>, LinkSpec> links_;
 };
 

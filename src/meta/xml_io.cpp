@@ -1,5 +1,7 @@
 #include "meta/xml_io.hpp"
 
+#include <charconv>
+
 #include "util/strings.hpp"
 
 namespace ig::meta {
@@ -7,6 +9,15 @@ namespace ig::meta {
 namespace {
 
 std::string type_name(ValueType type) { return std::string(to_string(type)); }
+
+/// The shortest text that parses back to exactly `number` (util::parse_double
+/// reads it), so a value survives any number of XML hops bitwise: 3 -> "3",
+/// 0.1 -> "0.1", 1e21 -> "1e+21", -0.0 -> "-0".
+std::string number_text(double number) {
+  char buffer[32];
+  const auto result = std::to_chars(buffer, buffer + sizeof buffer, number);
+  return std::string(buffer, result.ptr);
+}
 
 ValueType type_from_name(const std::string& name, std::size_t offset) {
   if (name == "string") return ValueType::String;
@@ -29,7 +40,7 @@ void value_to_xml(const Value& value, xml::Element& parent, const std::string& e
       node.set_text(value.as_string());
       break;
     case ValueType::Number:
-      node.set_text(util::format_number(value.as_number(), 12));
+      node.set_text(number_text(value.as_number()));
       break;
     case ValueType::Boolean:
       node.set_text(value.as_boolean() ? "true" : "false");

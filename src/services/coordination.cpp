@@ -390,7 +390,7 @@ void CoordinationService::handle_match_reply(const AclMessage& message) {
   execute.params["activity"] = activity_id;
   execute.params["outputs"] = util::join(activity->output_data, ",");
   // Ship the whole current data set; the container binds the precondition.
-  execute.content = wfl::dataset_to_xml_string(enactment->data);
+  execute.data = std::make_shared<const wfl::DataSet>(enactment->data);
   tracker_.track(std::move(execute), config_.exec_policy);
 }
 
@@ -416,8 +416,8 @@ void CoordinationService::handle_execution_reply(const AclMessage& message) {
 
   // Merge produced data into the case's world state.
   try {
-    const wfl::DataSet produced = wfl::dataset_from_xml_string(message.content);
-    for (const auto& item : produced.items()) enactment->data.put(item);
+    const std::shared_ptr<const wfl::DataSet> produced = dataset_payload(message);
+    for (const auto& item : produced->items()) enactment->data.put(item);
   } catch (const std::exception& error) {
     return handle_dispatch_failure(*enactment, activity_id, message.param("container"),
                                    std::string("bad result payload: ") + error.what());
@@ -601,7 +601,7 @@ void CoordinationService::finish(Enactment& enactment, bool success, const std::
   // Goal check against the final state.
   reply.params["goal-satisfaction"] = util::format_number(
       enactment.case_description.goal_satisfaction(enactment.data), 4);
-  reply.content = wfl::dataset_to_xml_string(enactment.data);
+  reply.data = std::make_shared<const wfl::DataSet>(enactment.data);
   send(std::move(reply));
 }
 

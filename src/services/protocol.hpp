@@ -5,9 +5,13 @@
 // register their type with the information service).
 #pragma once
 
+#include <memory>
+
 #include "agent/agent.hpp"
 #include "agent/message.hpp"
 #include "agent/platform.hpp"
+#include "wfl/data.hpp"
+#include "wfl/xml_io.hpp"
 
 namespace ig::svc {
 
@@ -100,6 +104,17 @@ inline agent::AclMessage make_failure(const agent::AclMessage& message,
   reply.params["reason"] = reason;
   reply.params["error"] = reason;
   return reply;
+}
+
+/// The data set a message carries: its typed `data` when set, otherwise
+/// its XML `content` decoded (empty content gives an empty set). Inside one
+/// platform this never touches XML; only a message that crossed a transport
+/// hook, or one a client built by hand, is decoded. Throws what
+/// wfl::dataset_from_xml_string throws on malformed content.
+inline std::shared_ptr<const wfl::DataSet> dataset_payload(const agent::AclMessage& message) {
+  if (message.data != nullptr) return message.data;
+  if (message.content.empty()) return std::make_shared<const wfl::DataSet>();
+  return std::make_shared<const wfl::DataSet>(wfl::dataset_from_xml_string(message.content));
 }
 
 /// Sends the standard registration message to the information service.

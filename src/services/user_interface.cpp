@@ -73,13 +73,11 @@ void UserInterfaceAgent::handle_message(const AclMessage& message) {
     outcome.replans = message.param_int("replans", 0);
     outcome.goal_satisfaction = message.param_double("goal-satisfaction", 0.0);
     outcome.total_cost = message.param_double("total-cost", 0.0);
-    if (!message.content.empty()) {
-      try {
-        outcome.final_data = wfl::dataset_from_xml_string(message.content);
-      } catch (const std::exception&) {
-        // Final data is informative only; a bad payload does not void the
-        // outcome.
-      }
+    try {
+      outcome.final_data = *dataset_payload(message);
+    } catch (const std::exception&) {
+      // Final data is informative only; a bad payload does not void the
+      // outcome.
     }
     outcome_ = std::move(outcome);
     if (outcome_callback_) outcome_callback_(*outcome_);

@@ -7,6 +7,8 @@
 #include "agent/platform.hpp"
 #include "agent/trace_render.hpp"
 #include "obs/span.hpp"
+#include "wfl/data.hpp"
+#include "wfl/xml_io.hpp"
 
 namespace ig::agent {
 namespace {
@@ -404,6 +406,63 @@ TEST(Platform, DetachedOrDisabledTracerRecordsNothing) {
   sim.run();
   EXPECT_EQ(tracer.size(), 0u);
   EXPECT_EQ(platform.messages_delivered(), 2u);
+}
+
+TEST(Platform, MessageSpanTagsLongParamsBySizeOnly) {
+  AclMessage message;
+  message.protocol = "enact-case";
+  message.params["short"] = std::string(256, 'x');
+  message.params["case-xml"] = std::string(4096, 'x');
+  const obs::Span span = message_span(message, 0.0, 0.001, true, "");
+  ASSERT_NE(span.tag("param.short"), nullptr);
+  EXPECT_EQ(*span.tag("param.short"), std::string(256, 'x'));
+  ASSERT_NE(span.tag("param.case-xml"), nullptr);
+  EXPECT_EQ(*span.tag("param.case-xml"), "<4096 bytes>");
+}
+
+TEST(Platform, TypedDataTravelsUnrenderedWithoutAHook) {
+  grid::Simulation sim;
+  AgentPlatform platform(sim);
+  auto& rx = platform.spawn<EchoAgent>("rx");
+  platform.spawn<EchoAgent>("tx");
+  AclMessage message;
+  message.sender = "tx";
+  message.receiver = "rx";
+  message.data = std::make_shared<const wfl::DataSet>(
+      std::vector<wfl::DataSpec>{wfl::DataSpec("D1").with("Value", meta::Value(0.1))});
+  platform.send(message);
+  sim.run();
+  ASSERT_EQ(rx.received.size(), 1u);
+  EXPECT_EQ(rx.received[0].data, message.data);  // the same shared set, no copy
+  EXPECT_TRUE(rx.received[0].content.empty());
+}
+
+TEST(Platform, TransportHookSeesTypedDataRenderedAsXml) {
+  grid::Simulation sim;
+  AgentPlatform platform(sim);
+  std::vector<AclMessage> carried;
+  platform.set_transport_hook([&carried](const AclMessage& message, std::string*) {
+    carried.push_back(message);
+    return std::optional<AclMessage>(message);
+  });
+  auto& rx = platform.spawn<EchoAgent>("rx");
+  platform.spawn<EchoAgent>("tx");
+  AclMessage message;
+  message.sender = "tx";
+  message.receiver = "rx";
+  message.data = std::make_shared<const wfl::DataSet>(
+      std::vector<wfl::DataSpec>{wfl::DataSpec("D1").with("Value", meta::Value(0.1))});
+  platform.send(message);
+  AclMessage preset = message;
+  preset.content = "<dataset/>";  // content already set: left as it is
+  platform.send(preset);
+  sim.run();
+  ASSERT_EQ(carried.size(), 2u);
+  EXPECT_EQ(carried[0].content, wfl::dataset_to_xml_string(*message.data));
+  EXPECT_EQ(carried[0].data, message.data);
+  EXPECT_EQ(carried[1].content, "<dataset/>");
+  ASSERT_EQ(rx.received.size(), 2u);
+  EXPECT_EQ(rx.received[0].data, message.data);
 }
 
 TEST(Platform, AgentSchedulesTimers) {

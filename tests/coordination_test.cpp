@@ -65,7 +65,7 @@ TEST(Coordination, EnactsFigure10CaseToCompletion) {
   EXPECT_EQ(reply.param("activities-executed"), "12");
 
   // Final state carries the expected result D12 with a value at the target.
-  const wfl::DataSet final_state = wfl::dataset_from_xml_string(reply.content);
+  const wfl::DataSet final_state = *dataset_payload(reply);
   ASSERT_NE(final_state.find("D12"), nullptr);
   EXPECT_LE(final_state.find("D12")->get("Value").as_number(), 8.0);
   EXPECT_EQ(fixture.environment->coordination().cases_completed(), 1u);
@@ -183,10 +183,10 @@ TEST(Coordination, MakespanReflectsSlowWanStaging) {
   const auto domains = slow.environment->grid().domains();
   for (std::size_t i = 0; i < domains.size(); ++i) {
     for (std::size_t j = i + 1; j < domains.size(); ++j) {
-      slow.environment->grid().network().set_link(domains[i], domains[j], {5.0, 0.5});
+      slow.environment->grid().network().set_link(domains[i], domains[j], {5.0, 0.5, {}});
     }
   }
-  slow.environment->grid().network().set_default_link({5.0, 0.5});
+  slow.environment->grid().network().set_default_link({5.0, 0.5, {}});
   const AclMessage slow_reply =
       slow.enact(virolab::make_fig10_process(), virolab::make_case_description());
   ASSERT_EQ(slow_reply.param("success"), "true");

@@ -161,7 +161,9 @@ TEST(SyncEnact, TraceCoversEveryActivity) {
   for (const auto& step : result.trace) {
     if (step.activity_name == "BEGIN") saw_begin = true;
     if (step.activity_name == "END") saw_end = true;
-    if (step.activity_name == "FORK") EXPECT_FALSE(step.executed);
+    if (step.activity_name == "FORK") {
+      EXPECT_FALSE(step.executed);
+    }
   }
   EXPECT_TRUE(saw_begin);
   EXPECT_TRUE(saw_end);

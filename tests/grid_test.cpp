@@ -46,7 +46,7 @@ TEST(Node, QueueSerializesWork) {
 
 TEST(Network, LinksSymmetricWithDefault) {
   NetworkModel network;
-  network.set_link("a", "b", {0.1, 10.0});
+  network.set_link("a", "b", {0.1, 10.0, {}});
   EXPECT_DOUBLE_EQ(network.link("a", "b").latency_s, 0.1);
   EXPECT_DOUBLE_EQ(network.link("b", "a").latency_s, 0.1);
   // Unknown pair uses the default.
@@ -55,7 +55,7 @@ TEST(Network, LinksSymmetricWithDefault) {
 
 TEST(Network, TransferTime) {
   NetworkModel network;
-  network.set_link("a", "b", {0.1, 10.0});
+  network.set_link("a", "b", {0.1, 10.0, {}});
   // 50 MB over 10 MB/s + 0.1 latency.
   EXPECT_DOUBLE_EQ(network.transfer_time("a", "b", 50.0), 5.1);
   // Transform factor inflates the payload.
@@ -191,7 +191,7 @@ TEST(Grid, ExecuteStagesDataAcrossDomains) {
   grid.add_node("n1", "one", "remote", fast());
   auto& container = grid.add_container("c1", "n1");
   container.host_service("POD");
-  grid.network().set_link("home", "remote", {1.0, 1.0});  // slow WAN
+  grid.network().set_link("home", "remote", {1.0, 1.0, {}});  // slow WAN
   Simulation sim;
   FailureInjector injector{util::Rng(1)};
   const auto catalogue = virolab::make_catalogue();
@@ -199,7 +199,7 @@ TEST(Grid, ExecuteStagesDataAcrossDomains) {
   Grid grid2;
   grid2.add_node("n1", "one", "remote", fast());
   grid2.add_container("c1", "n1").host_service("POD");
-  grid2.network().set_link("home", "remote", {1.0, 1.0});
+  grid2.network().set_link("home", "remote", {1.0, 1.0, {}});
   const ExecutionResult remote =
       grid2.execute(sim, injector, *catalogue.find("POD"), "c1", 100.0, "home");
   // Shipping 100 MB over the 1 MB/s WAN adds ~101 s of staging.

@@ -84,7 +84,7 @@ TEST(Integration, PlanThenEnactReachesGoal) {
   EXPECT_EQ(user.case_reply.param("goal-satisfaction"), "1");
 
   // The produced resolution file is in the final state.
-  const wfl::DataSet final_state = wfl::dataset_from_xml_string(user.case_reply.content);
+  const wfl::DataSet final_state = *dataset_payload(user.case_reply);
   bool has_resolution = false;
   for (const auto& item : final_state.items()) {
     if (item.classification() == "Resolution File") has_resolution = true;

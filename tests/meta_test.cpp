@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <iterator>
 
 #include "meta/ontology.hpp"
 #include "meta/standard.hpp"
@@ -279,6 +282,28 @@ TEST(XmlIo, ValueRoundTrip) {
   EXPECT_TRUE(value_from_xml(*values[2]).as_boolean());
   EXPECT_EQ(value_from_xml(*values[3]).as_string_list().size(), 2u);
   EXPECT_TRUE(value_from_xml(*values[4]).is_none());
+}
+
+TEST(XmlIo, NumbersRoundTripBitwise) {
+  // Every XML hop must hand back the exact double it was given, so a value
+  // carried typed inside a platform and one that crossed the wire agree.
+  const double numbers[] = {0.1,    11.700000000000001,      1e-20, 5e-324,
+                            1.7976931348623157e308, -0.0, 1e21};
+  xml::Document document("p");
+  for (const double number : numbers) value_to_xml(Value(number), document.root(), "value");
+  const xml::Document parsed = xml::parse(document.to_string());
+  const auto values = parsed.root().find_children("value");
+  ASSERT_EQ(values.size(), std::size(numbers));
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    const double restored = value_from_xml(*values[i]).as_number();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(restored), std::bit_cast<std::uint64_t>(numbers[i]))
+        << "wrote '" << values[i]->text() << "' for " << numbers[i];
+  }
+
+  // Integral values still print without a fraction.
+  xml::Element parent("p");
+  value_to_xml(Value(3.0), parent, "value");
+  EXPECT_EQ(parent.find_children("value")[0]->text(), "3");
 }
 
 TEST(XmlIo, OntologyRoundTrip) {

@@ -435,7 +435,7 @@ TEST(ContainerAgentTest, ExecuteProducesOutputs) {
   fixture.environment->run();
   const AclMessage reply = fixture.last();
   ASSERT_EQ(reply.performative, Performative::Inform) << reply.param("error");
-  const wfl::DataSet produced = wfl::dataset_from_xml_string(reply.content);
+  const wfl::DataSet produced = *dataset_payload(reply);
   ASSERT_NE(produced.find("D8"), nullptr);
   EXPECT_EQ(produced.find("D8")->classification(), "Orientation File");
   EXPECT_GT(std::stod(reply.param("duration")), 0.0);
@@ -456,6 +456,24 @@ TEST(ContainerAgentTest, ExecuteFailsOnUnmetPrecondition) {
   fixture.environment->run();
   EXPECT_EQ(fixture.last().performative, Performative::Failure);
   EXPECT_NE(fixture.last().param("error").find("precondition"), std::string::npos);
+}
+
+TEST(ContainerAgentTest, ExecuteFailsOnMalformedPayload) {
+  Fixture fixture;
+  const auto hosts = fixture.environment->grid().containers_hosting("POD");
+  ASSERT_FALSE(hosts.empty());
+  AclMessage execute;
+  execute.performative = Performative::Request;
+  execute.receiver = hosts.front()->id();
+  execute.protocol = protocols::kExecuteActivity;
+  execute.params["service"] = "POD";
+  execute.params["activity"] = "A2";
+  execute.content = "<dataset><data name=";  // what a broken client might send
+  fixture.client->request(fixture.environment->platform(), execute);
+  fixture.environment->run();
+  EXPECT_EQ(fixture.last().performative, Performative::Failure);
+  EXPECT_NE(fixture.last().param("error").find("bad input payload"), std::string::npos)
+      << fixture.last().param("error");
 }
 
 TEST(PlanningServiceTest, Figure2PlanRequestReturnsValidProcess) {

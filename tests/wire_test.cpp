@@ -6,17 +6,28 @@
 // bytes the XML path must reject), interning shrinks repeat frames without
 // ever desyncing across duplicated definitions, and a platform with the
 // wire hook installed behaves exactly like one without it, chaos replay
-// included.
+// included. That last part covers typed data-set payloads too: a case whose
+// data travels typed inside its stack ends bitwise-identical to the same
+// case with every message forced through the codec as XML.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "agent/platform.hpp"
+#include "engine/engine.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
+#include "planner/convert.hpp"
+#include "planner/workload.hpp"
 #include "services/environment.hpp"
+#include "services/protocol.hpp"
+#include "virolab/catalogue.hpp"
+#include "virolab/workflow.hpp"
+#include "wfl/xml_io.hpp"
 #include "wire/acl_xml.hpp"
 #include "wire/channel.hpp"
 #include "wire/codec.hpp"
@@ -440,6 +451,163 @@ TEST(WireAclXml, KeepsXmlWhitespaceControls) {
   AclMessage message = make_message();
   message.content = "line one\n\tline two\r\n";
   EXPECT_TRUE(same_message(message, acl_from_xml(acl_to_xml(message))));
+}
+
+// ---------------------------------------------------------------------------
+// typed data-set payloads against the XML the wire forces
+// ---------------------------------------------------------------------------
+
+/// A case to enact, with the catalogue and topology it runs on.
+struct DiffCase {
+  std::string label;
+  wfl::ProcessDescription process;
+  wfl::CaseDescription case_description;
+  svc::EnvironmentOptions options;
+};
+
+DiffCase fig10_case(double target) {
+  return {"fig10 target " + std::to_string(target), virolab::make_fig10_process(target),
+          virolab::make_case_description(target), {}};
+}
+
+/// A 60-stage McRunjob-style chain over the layered problem's services
+/// (the perfbench `chain_long` shape): a long case whose data set grows by
+/// one item per stage.
+DiffCase chain_case() {
+  planner::WorkloadParams params;
+  params.depth = 60;
+  params.services_per_layer = 1;
+  const planner::PlanningProblem problem = planner::make_layered_problem(params);
+  std::vector<planner::PlanNode> stages;
+  for (int layer = 1; layer <= params.depth; ++layer)
+    stages.push_back(planner::PlanNode::terminal("Stage" + std::to_string(layer)));
+  DiffCase out{"chain-60",
+               planner::to_process(planner::PlanNode::sequential(std::move(stages)), "chain-60"),
+               wfl::CaseDescription("chain-60"),
+               {}};
+  out.case_description.set_id("chain-60");
+  out.case_description.set_process_name("chain-60");
+  out.case_description.initial_data() = problem.initial_state;
+  for (const wfl::GoalSpec& goal : problem.goals) out.case_description.add_goal(goal);
+  out.options.catalogue = problem.catalogue;
+  out.options.use_synthetic_kernels = false;
+  out.options.topology.domains = 1;
+  out.options.topology.nodes_per_domain = 12;
+  return out;
+}
+
+std::vector<DiffCase> diff_cases() {
+  std::vector<DiffCase> cases;
+  // 11.7 is the first refinement pass's exact result: the loop's exit test
+  // sees the value the codec hands back, so any rounding shows here.
+  for (const double target : {7.5, 8.0, 9.3, 11.0, 11.7, 12.0}) cases.push_back(fig10_case(target));
+  cases.push_back(chain_case());
+  return cases;
+}
+
+void reliable_nodes(svc::Environment& environment) {
+  for (const auto& node : environment.grid().nodes()) node->set_reliability(1.0);
+}
+
+/// Enacts one case on a fresh stack and returns its case-completed reply.
+AclMessage enact_once(const DiffCase& diff_case, bool wire) {
+  svc::EnvironmentOptions options = diff_case.options;
+  options.wire_transport = wire;
+  auto environment = svc::make_environment(options);
+  reliable_nodes(*environment);
+  auto& client = environment->platform().spawn<Recorder>("ui");
+  AclMessage request;
+  request.performative = Performative::Request;
+  request.sender = "ui";
+  request.receiver = svc::names::kCoordination;
+  request.protocol = svc::protocols::kEnactCase;
+  request.content = wfl::process_to_xml_string(diff_case.process);
+  request.params["case-xml"] = wfl::case_to_xml_string(diff_case.case_description);
+  environment->platform().send(request);
+  environment->run();
+  for (const AclMessage& message : client.received)
+    if (message.protocol == svc::protocols::kCaseCompleted) return message;
+  ADD_FAILURE() << diff_case.label << ": no case-completed reply";
+  return {};
+}
+
+TEST(WirePayloads, TypedAndWireForcedCasesEndBitwiseIdentical) {
+  for (const DiffCase& diff_case : diff_cases()) {
+    SCOPED_TRACE(diff_case.label);
+    const AclMessage typed = enact_once(diff_case, false);
+    const AclMessage wired = enact_once(diff_case, true);
+    // The two runs really took different paths: typed data on one, decoded
+    // XML on the other.
+    EXPECT_NE(typed.data, nullptr);
+    EXPECT_EQ(wired.data, nullptr);
+    EXPECT_FALSE(wired.content.empty());
+
+    EXPECT_EQ(typed.param("success"), "true");
+    EXPECT_EQ(typed.params, wired.params);
+    const auto typed_data = svc::dataset_payload(typed);
+    const auto wired_data = svc::dataset_payload(wired);
+    EXPECT_FALSE(typed_data->empty());
+    EXPECT_TRUE(*typed_data == *wired_data);
+    // The codec writes each number's shortest exact form, so equal text
+    // means bitwise-equal values.
+    EXPECT_EQ(wfl::dataset_to_xml_string(*typed_data), wfl::dataset_to_xml_string(*wired_data));
+  }
+}
+
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+/// Runs `cases` on an in-memory 3-shard engine and returns their outcomes
+/// in submission order.
+std::vector<engine::CaseOutcome> engine_outcomes(const std::vector<DiffCase>& cases, bool wire) {
+  engine::EngineConfig config;
+  config.shards = 3;
+  config.queue_capacity = cases.size() + 4;
+  config.environment = cases.front().options;
+  config.environment.wire_transport = wire;
+  config.shard_setup = [](svc::Environment& environment, std::size_t) {
+    reliable_nodes(environment);
+  };
+  engine::EnactmentEngine engine(config);
+  std::vector<engine::CaseId> ids;
+  for (const DiffCase& diff_case : cases)
+    ids.push_back(engine.submit(diff_case.process, diff_case.case_description));
+  engine.drain();
+  std::vector<engine::CaseOutcome> outcomes;
+  for (const engine::CaseId id : ids) {
+    const auto outcome = engine.result(id);
+    EXPECT_TRUE(outcome.has_value()) << "case " << id << " not terminal";
+    outcomes.push_back(outcome.value_or(engine::CaseOutcome{}));
+  }
+  return outcomes;
+}
+
+TEST(WirePayloads, EngineOutcomesMatchWithTheWireOnAndOff) {
+  std::vector<DiffCase> fig10 = diff_cases();
+  const std::vector<DiffCase> chain{fig10.back()};
+  fig10.pop_back();
+  for (const std::vector<DiffCase>& cases : {fig10, chain}) {
+    const auto typed = engine_outcomes(cases, false);
+    const auto wired = engine_outcomes(cases, true);
+    ASSERT_EQ(typed.size(), wired.size());
+    for (std::size_t i = 0; i < typed.size(); ++i) {
+      SCOPED_TRACE(cases[i].label);
+      const engine::CaseOutcome& a = typed[i];
+      const engine::CaseOutcome& b = wired[i];
+      EXPECT_EQ(a.state, engine::CaseState::Completed) << a.error;
+      // Every field but the host's: wall-clock latency, the shard that ran
+      // the final attempt and the completion order depend on thread timing.
+      EXPECT_EQ(a.state, b.state);
+      EXPECT_EQ(a.error, b.error);
+      EXPECT_EQ(bits(a.makespan), bits(b.makespan));
+      EXPECT_EQ(a.activities_executed, b.activities_executed);
+      EXPECT_EQ(a.activities_replayed, b.activities_replayed);
+      EXPECT_EQ(a.dispatch_failures, b.dispatch_failures);
+      EXPECT_EQ(a.replans, b.replans);
+      EXPECT_EQ(a.engine_retries, b.engine_retries);
+      EXPECT_EQ(bits(a.goal_satisfaction), bits(b.goal_satisfaction));
+      EXPECT_EQ(bits(a.total_cost), bits(b.total_cost));
+    }
+  }
 }
 
 }  // namespace
